@@ -12,7 +12,8 @@ Submodules, roughly bottom-up:
     analysis     tension, bitension, residual routes, classification
     discrete     polyline energies, first variation, projected descent
     reporting    deterministic JSON / CSV emission
-    cli          command-line front end
+    cli          command-line front end (imported on use, so that
+                 ``python -m contactcurves.cli`` runs it only once)
 """
 
 from . import (
@@ -24,7 +25,6 @@ from . import (
     analysis,
     discrete,
     reporting,
-    cli,
 )
 
 __version__ = "0.1.0"

@@ -12,16 +12,15 @@ vector at vertices, and composite midpoint quadrature sums everything up.
 Both constructions are second order in the spacing, which the tests
 measure by Richardson ratios.
 
-The gradient of the discrete energy is taken by plain central differences
-in every free coordinate.  Descent steps are projected onto the kernel of
-the contact form at each vertex, so the polyline stays (approximately)
-Legendre without Lagrange multipliers; the defect is monitored and
-reported rather than assumed away.
+The gradient of the discrete energy is exact: one forward pass through the
+chord frames and vertex tensions, then the adjoint of the same local
+stencils in reverse order, so a gradient costs O(N) like the energy itself.
+Descent steps are projected onto the kernel of the contact form at each
+vertex, so the polyline stays (approximately) Legendre without Lagrange
+multipliers; the defect is monitored and reported rather than assumed away.
 
-A sign convention relates the energy slope along a variation V to the
-pairing with the analyzer residual.  It is calibrated once, on a curve
-with a known nonzero residual, and cached for the rest of the process;
-see calibrated_sign.
+The energy slope along a variation V equals sigma * 2 * the pairing with
+the analyzer residual, with sigma = +1; see calibrated_sign.
 """
 
 from __future__ import annotations
@@ -118,6 +117,28 @@ class DiscreteCurve:
     def copy(self):
         return DiscreteCurve(self.points.copy(), self.n, self.h, self.closed)
 
+    def _chords(self):
+        """Chord velocities dp (2n+1, M) and midpoint y rows ybar (n, M).
+
+        M = N for closed curves (wraparound chord included) and M = N-1
+        for open ones.  Raises on a degenerate segment, since the polyline
+        then has no usable direction there.
+        """
+        p = self.points
+        y = p[self.n:2 * self.n]
+        if self.closed:
+            dp = (np.roll(p, -1, axis=1) - p) / self.h
+            ybar = 0.5 * (y + np.roll(y, -1, axis=1))
+        else:
+            dp = np.diff(p, axis=1) / self.h
+            ybar = 0.5 * (y[:, :-1] + y[:, 1:])
+        lengths = np.linalg.norm(dp, axis=0) * self.h
+        scale = max(1.0, float(np.abs(p).max()))
+        bad = np.nonzero(lengths < 1e-13 * scale)[0]
+        if bad.size:
+            raise DiscreteCurveError(f"degenerate segment at index {int(bad[0])}")
+        return dp, ybar
+
     def chord_frames(self):
         """Frame coefficients of chord velocities at segment midpoints.
 
@@ -125,18 +146,7 @@ class DiscreteCurve:
         included) and M = N-1 for open ones.  Raises on a degenerate
         segment, since the polyline then has no usable direction there.
         """
-        p = self.points
-        if self.closed:
-            dp = (np.roll(p, -1, axis=1) - p) / self.h
-            ybar = 0.5 * (p[self.n:2 * self.n] + np.roll(p[self.n:2 * self.n], -1, axis=1))
-        else:
-            dp = np.diff(p, axis=1) / self.h
-            ybar = 0.5 * (p[self.n:2 * self.n, :-1] + p[self.n:2 * self.n, 1:])
-        lengths = np.linalg.norm(dp, axis=0) * self.h
-        scale = max(1.0, float(np.abs(p).max()))
-        bad = np.nonzero(lengths < 1e-13 * scale)[0]
-        if bad.size:
-            raise DiscreteCurveError(f"degenerate segment at index {int(bad[0])}")
+        dp, ybar = self._chords()
         return _to_frame_array(dp, ybar, self.n)
 
     def max_defect(self):
@@ -252,32 +262,57 @@ def max_residual_norm(curve: DiscreteCurve, delta, c=-3.0):
     return float(np.linalg.norm(res, axis=0).max())
 
 
-def _free_mask(curve: DiscreteCurve):
-    free = np.ones(curve.N, dtype=bool)
-    if not curve.closed:
-        free[0] = free[-1] = False
-    return free
+def energy_gradient(curve: DiscreteCurve, delta):
+    """Exact gradient of discrete_energy(curve, delta).total, shape (dim, N).
 
-
-def energy_gradient(curve: DiscreteCurve, delta, step=1e-6):
-    """Central-difference gradient of the total energy, shape (dim, N).
-
-    Endpoint columns of an open curve are fixed and come back zero.  The
-    entries are independent of each other, so this loop is trivially
-    parallel; it is kept serial because polyline sizes stay small.
+    Reverse-mode sweep through the stencils of discrete_energy: from the
+    vertex tensions through the connection term Gamma(T, T), the centered
+    difference and the average to the chord frames, then through the frame
+    change to the chord differences and midpoints, and onto the vertices.
+    Endpoint columns of an open curve are fixed and come back zero.
     """
+    d1, d2 = float(delta[0]), float(delta[1])
+    n, h = curve.n, curve.h
+    dp, ybar = curve._chords()
+    u = _to_frame_array(dp, ybar, n)
+    tau, T = _vertex_tension(curve, u)
+
+    # tau = du + Gamma(T, T), where Gamma(T, T) = (2e b, -2e a, 0) for T = (a, b, e)
+    g_tau = 2.0 * d2 * h * tau
+    a, b, e = T[:n], T[n:2 * n], T[2 * n]
+    g_top, g_mid = g_tau[:n], g_tau[n:2 * n]
+    g_T = np.concatenate([
+        -2.0 * e * g_mid,
+        2.0 * e * g_top,
+        2.0 * np.sum(g_top * b - g_mid * a, axis=0)[np.newaxis],
+    ])
+    # du = (u_next - u_prev) / h and T = (u_next + u_prev) / 2 around each vertex
+    g_next = g_tau / h + 0.5 * g_T
+    g_prev = 0.5 * g_T - g_tau / h
+    g_u = 2.0 * d1 * h * u
+    if curve.closed:
+        g_u += g_next + np.roll(g_prev, -1, axis=1)
+    else:
+        g_u[:, 1:] += g_next
+        g_u[:, :-1] += g_prev
+
+    # u = (dp_y / 2, dp_x / 2, (dp_z - ybar . dp_x) / 2)
+    g_w = g_u[2 * n]
+    g_dp = np.empty_like(dp)
+    g_dp[:n] = 0.5 * (g_u[n:2 * n] - g_w * ybar)
+    g_dp[n:2 * n] = 0.5 * g_u[:n]
+    g_dp[2 * n] = 0.5 * g_w
+    g_ybar = -0.5 * g_w * dp[:n]
+
+    # dp = (p_head - p_tail) / h and ybar = (y_tail + y_head) / 2 on each chord
+    g_head = g_dp / h
+    g_tail = -g_head
+    g_head[n:2 * n] += 0.5 * g_ybar
+    g_tail[n:2 * n] += 0.5 * g_ybar
+    if curve.closed:
+        return g_tail + np.roll(g_head, 1, axis=1)
     grad = np.zeros_like(curve.points)
-    work = curve.copy()
-    free = _free_mask(curve)
-    for k in np.nonzero(free)[0]:
-        for i in range(curve.dim):
-            orig = work.points[i, k]
-            work.points[i, k] = orig + step
-            e_plus = discrete_energy(work, delta).total
-            work.points[i, k] = orig - step
-            e_minus = discrete_energy(work, delta).total
-            work.points[i, k] = orig
-            grad[i, k] = (e_plus - e_minus) / (2.0 * step)
+    grad[:, 1:-1] = g_tail[:, 1:] + g_head[:, :-1]
     return grad
 
 
@@ -295,8 +330,6 @@ def _project_contact(curve: DiscreteCurve, disp):
 
 
 # -- first variation ---------------------------------------------------------
-
-_sigma_cache = None
 
 
 def _variation_data(spec, delta, V, N, eps, c):
@@ -347,28 +380,15 @@ class VariationReport:
 
 
 def calibrated_sign():
-    """The global sign relating energy slope and residual pairing.
+    """The global sign relating energy slope and residual pairing: +1.
 
-    Computed once per process on a curve with a known nonzero bending
-    residual, then cached.  Tests assert that this single value works
-    uniformly, which is the point: the relation has one sign, we just do
-    not hard-code which.
+    The slope of the discrete energy along a variation V is
+    sigma * 2 * integral <residual, V>, with one sign for every curve,
+    weight pair and variation.  The tests re-derive it on a circle with a
+    known nonzero bending residual and check that this single value covers
+    random curves and variations.
     """
-    global _sigma_cache
-    if _sigma_cache is None:
-        from .families import circle
-
-        spec = circle(2.0)
-        N = 256
-        ts = sample_grid(spec, N)
-        V = np.zeros((5, N))
-        V[0] = -np.sin(2 * ts)
-        V[1] = np.cos(2 * ts)
-        slope, pairing = _variation_data(spec, (0.0, 1.0), V, N, 1e-5, -3.0)
-        if abs(pairing) < 1e-8:
-            raise RuntimeError("sign calibration produced a degenerate pairing")
-        _sigma_cache = 1 if slope * pairing > 0 else -1
-    return _sigma_cache
+    return 1
 
 
 def first_variation_check(spec, delta, V, N=256, eps=1e-4, c=-3.0):
@@ -416,7 +436,7 @@ class DescentResult:
 
 
 def descend(curve: DiscreteCurve, delta, steps=50, rate=0.05, c=-3.0,
-            shrink=0.5, grad_step=1e-6) -> DescentResult:
+            shrink=0.5) -> DescentResult:
     """Projected gradient descent with a backtracking line search.
 
     Acceptance uses a small sufficient-decrease margin, so accepted
@@ -429,7 +449,7 @@ def descend(curve: DiscreteCurve, delta, steps=50, rate=0.05, c=-3.0,
     energy = discrete_energy(cur, delta).total
     rows = [DescentRow(0, energy, cur.max_defect(), max_residual_norm(cur, delta, c))]
     for step in range(1, steps + 1):
-        grad = energy_gradient(cur, delta, step=grad_step)
+        grad = energy_gradient(cur, delta)
         direction = _project_contact(cur, -grad)
         if not cur.closed:
             direction[:, 0] = 0.0

@@ -402,3 +402,16 @@ def test_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 2
     assert "--grid" in proc.stderr
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "contactcurves.cli", "--help"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "flow" in proc.stdout

@@ -64,6 +64,64 @@ def test_discrete_residual_matches_smooth_values():
     assert 3.0 < near / finer < 5.0
 
 
+def _fd_gradient(curve, delta, step=1e-6):
+    """Central differences of the total energy in every free coordinate."""
+    grad = np.zeros_like(curve.points)
+    work = curve.copy()
+    free = range(curve.N) if curve.closed else range(1, curve.N - 1)
+    for k in free:
+        for i in range(curve.dim):
+            orig = work.points[i, k]
+            work.points[i, k] = orig + step
+            e_plus = discrete.discrete_energy(work, delta).total
+            work.points[i, k] = orig - step
+            e_minus = discrete.discrete_energy(work, delta).total
+            work.points[i, k] = orig
+            grad[i, k] = (e_plus - e_minus) / (2.0 * step)
+    return grad
+
+
+def _perturbed(spec, closed, N, seed):
+    """Polyline off the Legendre constraint: every row, z included, is jittered."""
+    if closed:
+        dc = discrete.DiscreteCurve.from_spec(spec, N)
+    else:
+        dc = discrete.DiscreteCurve.from_spec(spec, N, span=(0.3, 2.5))
+    rng = np.random.default_rng(seed)
+    dc.points += 0.02 * rng.standard_normal(dc.points.shape)
+    assert dc.max_defect() > 1e-3
+    return dc
+
+
+@pytest.mark.parametrize("delta", [(0.0, 1.0), (1.3, 0.7), (-8.0, 2.0)])
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+@pytest.mark.parametrize("spec, N", [
+    (families.circle(2.0), 16),
+    (families.orthogonal_helix(), 24),
+], ids=["n2", "n3"])
+def test_gradient_matches_finite_differences(spec, N, closed, delta):
+    dc = _perturbed(spec, closed, N, seed=N + closed)
+    exact = discrete.energy_gradient(dc, delta)
+    fd = _fd_gradient(dc, delta)
+    assert exact.shape == dc.points.shape
+    assert np.abs(exact - fd).max() <= 1e-6 * np.abs(fd).max()
+    if not closed:
+        assert not exact[:, [0, -1]].any()
+
+
+def test_gradient_makes_no_energy_calls(monkeypatch):
+    calls = []
+    energy = discrete.discrete_energy
+
+    def counting(curve, delta):
+        calls.append(1)
+        return energy(curve, delta)
+
+    monkeypatch.setattr(discrete, "discrete_energy", counting)
+    discrete.energy_gradient(_perturbed(families.circle(2.0), True, 32, seed=1), (1.0, 1.0))
+    assert calls == []
+
+
 def test_gradient_vanishes_at_geodesic():
     geo = families.geodesic((0.5, 0.5, 0.0, 0.0))
     dg = discrete.DiscreteCurve.from_spec(geo, 32, span=(0.0, 1.5))
@@ -116,6 +174,20 @@ def test_first_variation_second_order():
         diffs[N] = rep.difference
     assert 3.5 < diffs[64] / diffs[128] < 4.5
     assert 3.5 < diffs[128] / diffs[256] < 4.5
+
+
+def test_calibrated_sign_rederived_on_circle():
+    # the rotational variation of the circle has a nonzero bending pairing,
+    # so the sign of slope * pairing fixes sigma
+    spec = families.circle(2.0)
+    N = 256
+    ts = curves.sample_grid(spec, N)
+    V = np.zeros((5, N))
+    V[0] = -np.sin(2 * ts)
+    V[1] = np.cos(2 * ts)
+    slope, pairing = discrete._variation_data(spec, (0.0, 1.0), V, N, 1e-5, -3.0)
+    assert abs(pairing) > 1e-8
+    assert (1 if slope * pairing > 0 else -1) == discrete.calibrated_sign() == 1
 
 
 def test_first_variation_uniform_bound():
