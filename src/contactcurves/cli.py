@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -415,12 +414,10 @@ def cmd_scan(args):
     if case != "IV":
         alphas = np.array([0.0])
 
-    cells = [
-        (case, float(c), float(k1), float(k2), float(a))
+    rows = [
+        _scan_cell(case, float(c), float(k1), float(k2), float(a))
         for c in cs for k1 in k1s for k2 in k2s for a in alphas
     ]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(lambda cell: _scan_cell(*cell), cells))
 
     header = ["case", "c", "k1", "k2", "alpha0", "rho",
               "constraint", "feasible", "verdict"]

@@ -86,6 +86,31 @@ def _adaptive_quad(f, a, b, tol=1e-12, _depth=0):
     return left + right
 
 
+_GL_NODES_PAIR = np.concatenate((_GL_NODES_LO, _GL_NODES_HI))
+_GL_WEIGHTS_PAIR = np.zeros((_GL_NODES_PAIR.size, 2))
+_GL_WEIGHTS_PAIR[:_GL_NODES_LO.size, 0] = _GL_WEIGHTS_LO
+_GL_WEIGHTS_PAIR[_GL_NODES_LO.size:, 1] = _GL_WEIGHTS_HI
+
+
+def _composite_quad(f, a, b, tol=1e-12):
+    """Integrate f over every panel [a[k], b[k]] at once.
+
+    Both Gauss rules of all panels come from a single call of f on a
+    (panels, 30) node array.  A panel whose rules disagree by more than
+    _adaptive_quad accepts is handed to _adaptive_quad, which bisects it
+    depth first.
+    """
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    nodes = mid[:, np.newaxis] + half[:, np.newaxis] * _GL_NODES_PAIR
+    sums = half[:, np.newaxis] * (f(nodes) @ _GL_WEIGHTS_PAIR)
+    coarse, fine = sums[:, 0], sums[:, 1]
+    accepted = np.abs(fine - coarse) <= tol * np.maximum(1.0, np.abs(fine))
+    for k in np.flatnonzero(~accepted):
+        fine[k] = _adaptive_quad(f, a[k], b[k], tol)
+    return fine
+
+
 # ---------------------------------------------------------------------------
 # coordinate sources
 
@@ -103,7 +128,6 @@ class IntegralCoordinate:
         self.z0 = float(z0)
         self.x_exprs = tuple(x_exprs)
         self.y_exprs = tuple(y_exprs)
-        self._cache = {}
 
     def _integrand_values(self, s):
         s = np.asarray(s, dtype=float)
@@ -113,33 +137,24 @@ class IntegralCoordinate:
             total += ye(s) * xj.deriv(1)
         return total
 
-    def _value_at(self, t):
-        t = float(t)
-        key = round(t, 15)
-        if key not in self._cache:
-            if t == 0.0:
-                val = 0.0
-            else:
-                val = _adaptive_quad(self._integrand_values, 0.0, t)
-            self._cache[key] = self.z0 + val
-        return self._cache[key]
-
     def values(self, ts):
         """Cumulative integral at each of ts (not assumed sorted).
 
-        Integrates once over consecutive gaps of the sorted parameters with
+        Integrates over the consecutive gaps of the sorted parameters with
         0 spliced in as the reference point, then shifts the running sum so
-        that the entry at 0 equals z0.
+        that the entry at 0 equals z0.  One batched pass evaluates the 10-
+        and 20-point Gauss rules of every gap in a single integrand call;
+        only the gaps where the two rules disagree are bisected, one by one.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         order = np.argsort(ts, kind="stable")
         anchors = np.concatenate(([0.0], ts[order]))
         anchors.sort(kind="stable")
         increments = np.zeros(anchors.size)
-        for k in range(1, anchors.size):
-            a, b = anchors[k - 1], anchors[k]
-            if b != a:
-                increments[k] = _adaptive_quad(self._integrand_values, a, b)
+        gaps = np.flatnonzero(anchors[1:] != anchors[:-1]) + 1
+        increments[gaps] = _composite_quad(
+            self._integrand_values, anchors[gaps - 1], anchors[gaps]
+        )
         cumulative = np.cumsum(increments)
         base = cumulative[np.searchsorted(anchors, 0.0)]
         at = np.searchsorted(anchors, ts[order])
@@ -320,22 +335,6 @@ def _to_frame_jet(u, y, n):
     )
 
 
-def _from_frame_jet(c, y, n):
-    """Inverse of _to_frame_jet: coordinate components from coefficients."""
-    alpha = c[slice(0, n)]
-    beta = c[slice(n, 2 * n)]
-    w = c[2 * n]
-    ux = beta * 2.0
-    uy = alpha * 2.0
-    uz = w * 2.0 + (y.truncate(c.order) * beta).sum(0) * 2.0
-    K = min(ux.order, uz.order)
-    return jets.concat(
-        [ux.truncate(K), uy.truncate(K),
-         jets.Jet(uz.truncate(K).coeffs[:, np.newaxis, :])],
-        axis=0,
-    )
-
-
 def _to_frame_array(u, y, n):
     """Pointwise frame coefficients for sampled components u (2n+1, N)."""
     alpha = 0.5 * u[n:2 * n]
@@ -393,10 +392,12 @@ def make_legendre(x_exprs, y_exprs, z0=0.0, period=2.0 * np.pi, closed=True):
     """Build a Legendre curve from horizontal profile expressions.
 
     The z coordinate is synthesized so that the contact form vanishes on the
-    velocity: z' = sum_i y_i x_i'.  Values of z are obtained by adaptive
-    Gauss-Legendre quadrature from z(0) = z0; all derivative slots of the z
-    jet come from the integrand itself, so the Legendre defect of the result
-    is limited only by roundoff.
+    velocity: z' = sum_i y_i x_i'.  Values of z are obtained by Gauss-Legendre
+    quadrature from z(0) = z0: one batched 10/20-point pass over all grid
+    gaps, then adaptive bisection of only the gaps where the two rules
+    disagree.  All derivative slots of the z jet come from the integrand
+    itself, so the Legendre defect of the result is limited only by
+    roundoff.
     """
     xs = [parse(e) if isinstance(e, str) else e for e in x_exprs]
     ys = [parse(e) if isinstance(e, str) else e for e in y_exprs]

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from contactcurves import jets
+from contactcurves import families, jets
 from contactcurves.curves import (
     CurveError,
     CurveSpec,
+    IntegralCoordinate,
     QuadratureError,
+    _adaptive_quad,
     arclength_check,
     coordinate_jets,
     covariant_derivative_along,
@@ -266,3 +268,83 @@ def test_integral_coordinate_negative_and_repeat_times():
     zs = spec.point(ts)[2]
     expected = ts / 2 + np.sin(2 * ts) / 4
     assert np.max(np.abs(zs - expected)) < 1e-12
+
+
+def _per_gap_z(coord, ts):
+    """Reference z: one adaptive quadrature per gap of the sorted ts and 0."""
+    ts = np.asarray(ts, dtype=float)
+    anchors = np.unique(np.concatenate(([0.0], ts)))
+    running = np.concatenate(([0.0], np.cumsum([
+        _adaptive_quad(coord._integrand_values, a, b)
+        for a, b in zip(anchors[:-1], anchors[1:])
+    ])))
+    running -= running[np.searchsorted(anchors, 0.0)]
+    return coord.z0 + running[np.searchsorted(anchors, ts)]
+
+
+def _assert_matches_per_gap(spec, ts):
+    coord = spec.coords[-1]
+    z = coord.values(ts)
+    ref = _per_gap_z(coord, ts)
+    assert np.all(np.abs(z - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("grid", [256, 4096])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_batched_z_matches_per_gap_quadrature(r, grid):
+    spec, _ = families.random_legendre_curve(np.random.default_rng(r), r)
+    _assert_matches_per_gap(spec, sample_grid(spec, grid))
+
+
+def test_batched_z_matches_per_gap_on_irregular_times():
+    spec, _ = families.random_legendre_curve(np.random.default_rng(7), 4)
+    ts = np.random.default_rng(8).uniform(-7.0, 7.0, 200)
+    ts = np.concatenate((ts, ts[:20], [0.0, 0.0, -3.5]))
+    _assert_matches_per_gap(spec, ts)
+    _assert_matches_per_gap(spec, np.array([0.0]))
+    _assert_matches_per_gap(spec, np.array([-2.0, -2.0]))
+
+
+def test_batched_z_matches_per_gap_on_open_grid():
+    spec = families.rational_turn()
+    _assert_matches_per_gap(spec, np.linspace(-3.0, 2.0, 256))
+
+
+def _count_integrand_calls(monkeypatch):
+    calls = [0]
+    original = IntegralCoordinate._integrand_values
+
+    def counted(self, s):
+        calls[0] += 1
+        return original(self, s)
+
+    monkeypatch.setattr(IntegralCoordinate, "_integrand_values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("xs, ys, ts", [
+    (["t"], ["1/(1+400*t^2)"], [-1.0, 1.0]),
+    (["sin(t)"], ["exp(4*cos(t))"], [2 * np.pi, 3.0]),
+])
+def test_batched_z_bisects_gaps_the_rules_disagree_on(xs, ys, ts, monkeypatch):
+    spec = make_legendre(xs, ys)
+    calls = _count_integrand_calls(monkeypatch)
+    spec.coords[-1].values(np.array(ts))
+    assert calls[0] > 1  # the batched pass alone did not settle these gaps
+    _assert_matches_per_gap(spec, np.array(ts))
+
+
+def test_smooth_z_takes_one_integrand_call(monkeypatch):
+    spec, _ = families.random_legendre_curve(np.random.default_rng(3), 4)
+    ts = sample_grid(spec, 256)
+    calls = _count_integrand_calls(monkeypatch)
+    spec.coords[-1].values(ts)
+    assert calls[0] == 1
+
+
+def test_divergent_z_fails_fast(monkeypatch):
+    spec = make_legendre(["1/(1 - t)"], ["1"])
+    calls = _count_integrand_calls(monkeypatch)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        spec.point(np.array([2.0]))
+    assert calls[0] < 1000
