@@ -23,6 +23,8 @@ routes: :func:`residual_direct` runs covariant calculus on jets, while
 
 from curvatures and the frame scalars f = g(phi T, E2) etc.  The tests pin
 the two routes against each other; neither is ever derived from the other.
+Both can share one FrenetData: the direct route reads only its velocity jet
+and frames, never the curvatures.
 
 Scalar projections of the residual onto E_1..E_m (m = min(r, 4)) give the
 per-equation checks: the residual vanishes iff those m scalars vanish and
@@ -42,10 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import (
-    FrenetData,
-    FrameScalars,
     _curve_frames,
-    _metric_jet,
     _nabla_along,
     _phi_jet,
     frame_scalars,
@@ -84,10 +83,8 @@ class AnalysisError(ValueError):
 # direct route
 
 
-def _direct_jets(spec, ts, jet_order=6, depth=3):
+def _direct_jets(n, T, depth=3):
     """T and its iterated covariant derivatives nabla_T^k T, k = 1..depth."""
-    cj, y, T = _curve_frames(spec, ts, order=jet_order)
-    n = spec.n
     out = [T]
     for _ in range(depth):
         out.append(_nabla_along(n, T, out[-1]))
@@ -97,14 +94,14 @@ def _direct_jets(spec, ts, jet_order=6, depth=3):
 def tension(spec, ts):
     """nabla_T T along the curve, in frame components, shape (2n+1, N)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    _, tau = _direct_jets(spec, ts, jet_order=3, depth=1)
+    _, tau = _direct_jets(spec.n, _curve_frames(spec, ts, 3)[2], depth=1)
     return tau.value
 
 
 def bitension(spec, ts, c=-3.0):
     """nabla_T^3 T - R(T, nabla_T T)T in frame components, shape (2n+1, N)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    T, tau, _, tau_3 = _direct_jets(spec, ts)
+    T, tau, _, tau_3 = _direct_jets(spec.n, _curve_frames(spec, ts, 6)[2])
     curv = space_form_curvature_frame(c, T.value, tau.value, T.value, spec.n)
     return tau_3.value - curv
 
@@ -130,8 +127,7 @@ class ResidualReport:
     the m scalar equations (for the direct route these are the same inner
     products; for the closed-form route they are assembled from the
     expansion coefficients).  structural carries the six expansion
-    coefficients and is None on the direct route.  offspan measures the
-    part of the residual outside span{E1..E_m, phi T, xi}.
+    coefficients and is None on the direct route.
     """
 
     ts: np.ndarray
@@ -143,7 +139,6 @@ class ResidualReport:
     vector: np.ndarray                 # (2n+1, N) frame components
     projections: dict
     equation_residuals: np.ndarray     # (m, N)
-    offspan: np.ndarray                # (N,)
     structural: dict | None = None
 
     @property
@@ -158,10 +153,6 @@ class ResidualReport:
     def equations(self):
         """Max absolute residual of each of the m scalar equations."""
         return [float(np.max(np.abs(row))) for row in self.equation_residuals]
-
-    @property
-    def max_offspan(self):
-        return float(np.max(self.offspan)) if self.ts.size else 0.0
 
 
 def _build_report(vector, frenet, scalars, c, delta, route, equation_residuals,
@@ -178,52 +169,44 @@ def _build_report(vector, frenet, scalars, c, delta, route, equation_residuals,
             projections[f"E{i + 1}"] = np.zeros(N)
     projections["phiT"] = np.einsum("kN,kN->N", vector, scalars.phiT)
     projections["xi"] = vector[2 * n].copy()
-
-    # leakage outside the span of {E1..E_m, phiT, xi}: orthonormalize the
-    # dictionary per sample and subtract; phiT and xi may sit inside the
-    # frame span, which a least-squares projector handles without fuss
-    m = frenet.m
-    dim = 2 * n + 1
-    cols = [frenet.frames[i] for i in range(m)] + [scalars.phiT]
-    xi_col = np.zeros((dim, N))
-    xi_col[2 * n] = 1.0
-    cols.append(xi_col)
-    A = np.stack(cols, axis=2)            # (dim, N, k) -> transpose below
-    A = np.moveaxis(A, 1, 0)              # (N, dim, k)
-    v = np.moveaxis(vector, 1, 0)[:, :, np.newaxis]
-    coef = np.linalg.pinv(A) @ v          # min-norm least squares per sample
-    rem = (v - A @ coef)[:, :, 0]
-    offspan = np.sqrt(np.maximum(np.einsum("Nk,Nk->N", rem, rem), 0.0))
-
     return ResidualReport(
         ts=frenet.ts,
         c=float(c),
         delta=(float(delta[0]), float(delta[1])),
         r=frenet.r,
-        m=m,
+        m=frenet.m,
         route=route,
         vector=vector,
         projections=projections,
         equation_residuals=equation_residuals,
-        offspan=offspan,
         structural=structural,
     )
 
 
-def residual_direct(spec, ts, c=-3.0, delta=(0.0, 1.0)):
-    """d2 * bitension - d1 * tension by covariant calculus, decomposed."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+def _direct_report(frenet, scalars, c, delta):
+    """The direct route on Frenet data the caller already built.
+
+    Only the velocity jet frenet.frame_jets[0] and the frames enter the
+    residual vector: the curvatures and their jets belong to the
+    closed-form route and are never read here, which keeps the two routes
+    independent.
+    """
     d1, d2 = float(delta[0]), float(delta[1])
-    T, tau, _, tau_3 = _direct_jets(spec, ts)
-    curv = space_form_curvature_frame(c, T.value, tau.value, T.value, spec.n)
+    n = frenet.n
+    T, tau, _, tau_3 = _direct_jets(n, frenet.frame_jets[0])
+    curv = space_form_curvature_frame(c, T.value, tau.value, T.value, n)
     vector = d2 * (tau_3.value - curv) - d1 * tau.value
-    frenet = frenet_apparatus(spec, ts)
-    scalars = frame_scalars(frenet)
     eqs = np.stack([
         np.einsum("kN,kN->N", vector, frenet.frames[i])
         for i in range(frenet.m)
     ])
     return _build_report(vector, frenet, scalars, c, (d1, d2), "direct", eqs)
+
+
+def residual_direct(spec, ts, c=-3.0, delta=(0.0, 1.0)):
+    """d2 * bitension - d1 * tension by covariant calculus, decomposed."""
+    frenet = frenet_apparatus(spec, ts)
+    return _direct_report(frenet, frame_scalars(frenet), c, delta)
 
 
 # ---------------------------------------------------------------------------

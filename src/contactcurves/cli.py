@@ -179,7 +179,7 @@ def cmd_analyze(args):
     )
     scalars = frame_scalars(frenet)
     cls = analysis.classify(frenet, scalars, args.c, tol=args.tol)
-    res = analysis.residual_direct(spec, ts, args.c, delta)
+    res = analysis._direct_report(frenet, scalars, args.c, delta)
     thm = analysis.theorem31_check(frenet, scalars, args.c, delta, tol=args.tol)
     sol = analysis.solve_delta(frenet, scalars, args.c, tol=args.tol)
 
@@ -300,8 +300,8 @@ def cmd_verify_example(args):
     sol = analysis.solve_delta(frenet, scalars, args.c, tol=args.tol)
     thm = analysis.theorem31_check(frenet, scalars, args.c, (-8.0, 2.0),
                                    tol=args.tol, eq2_sign=sign)
-    res_crit = analysis.residual_direct(spec, ts, args.c, (-8.0, 2.0))
-    res_biha = analysis.residual_direct(spec, ts, args.c, (0.0, 1.0))
+    res_crit = analysis._direct_report(frenet, scalars, args.c, (-8.0, 2.0))
+    res_biha = analysis._direct_report(frenet, scalars, args.c, (0.0, 1.0))
     closed = analysis.residual_closed_form(frenet, scalars, args.c,
                                            (-8.0, 2.0), eq2_sign=sign)
     route_gap = float(np.max(np.abs(closed.vector - res_crit.vector)))

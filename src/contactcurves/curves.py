@@ -413,14 +413,8 @@ def make_legendre(x_exprs, y_exprs, z0=0.0, period=2.0 * np.pi, closed=True):
 def legendre_defect(spec, t):
     """Value of the contact form on the velocity, eta(gamma'(t))."""
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    ts = np.atleast_1d(t)
-    cj = coordinate_jets(spec, ts, order=1)
-    n = spec.n
-    v = cj.deriv(1)
-    y = cj.value[n:2 * n]
-    defect = 0.5 * (v[2 * n] - np.sum(y * v[:n], axis=0))
-    return float(defect[0]) if scalar else defect
+    defect = arclength_check(spec, t).defects
+    return float(defect[0]) if t.ndim == 0 else defect
 
 
 @dataclass
@@ -454,7 +448,7 @@ def arclength_check(spec, ts):
     return ArclengthReport(
         ts=ts,
         speeds=speed,
-        max_deviation=float(np.max(np.abs(speed - 1.0))),
+        max_deviation=float(np.max(np.abs(speed - 1.0), initial=0.0)),
         horizontal_speed_sq=horiz,
         defects=defect,
     )
@@ -473,12 +467,7 @@ def reparametrize_arclength(spec, ts, refine=8):
     a, b = float(ts[0]), float(ts[-1])
     M = 2 * refine * (ts.size - 1)
     dense = np.linspace(a, b, M + 1)
-    cj = coordinate_jets(spec, dense, order=1)
-    n = spec.n
-    v = cj.deriv(1)
-    y = cj.value[n:2 * n]
-    defect = 0.5 * (v[2 * n] - np.sum(y * v[:n], axis=0))
-    speed = np.sqrt(defect ** 2 + 0.25 * np.sum(v[:2 * n] ** 2, axis=0))
+    speed = arclength_check(spec, dense).speeds
     if np.min(speed) < 1e-12:
         bad = dense[int(np.argmin(speed))]
         raise CurveError(f"curve is irregular near t={bad:.6g}: speed ~ 0")

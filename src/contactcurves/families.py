@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveSpec, make_legendre
+from .curves import make_legendre
 
 __all__ = [
     "TwoExpInvariants",

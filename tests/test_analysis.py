@@ -7,6 +7,8 @@ scalar constants a case prescribes.  Nothing is copied from the code under
 test.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,32 @@ def test_residual_routes_agree_across_families():
         closed = analysis.residual_closed_form(fr, sc, delta=delta)
         gap = np.abs(direct.vector - closed.vector).max()
         assert gap < 1e-6, f"route gap {gap:.3e} on {spec.coord_texts}"
+
+
+@pytest.mark.parametrize("spec", [
+    curves.CurveSpec(2, ["sin(2*t)", "-cos(2*t)", "0", "0", "1"]),
+    families.helix(2.0, phase=1.1),
+    families.orthogonal_helix(0.9, 1.4),
+    families.r4_curve(0),
+], ids=["example", "helix", "orthogonal-helix", "r4"])
+def test_direct_report_reuses_caller_frenet_data(spec):
+    # the CLI hands the direct route the Frenet data it built with its own
+    # tolerances; the residual must be bit-identical to the standalone call,
+    # and must not read the curvatures the closed-form route is built from
+    ts = grid(spec, 96)
+    c, delta = 0.5, (0.7, 1.3)
+    fr, sc = frenet_pair(spec, ts, tol=1e-6, unit_tol=1e-5)
+    standalone = analysis.residual_direct(spec, ts, c, delta)
+    shared = analysis._direct_report(fr, sc, c, delta)
+    assert np.array_equal(shared.vector, standalone.vector)
+    assert np.array_equal(shared.equation_residuals,
+                          standalone.equation_residuals)
+    blind = dataclasses.replace(
+        fr, curvatures=np.full_like(fr.curvatures, np.nan), curvature_jets=[]
+    )
+    assert np.array_equal(
+        analysis._direct_report(blind, sc, c, delta).vector, standalone.vector
+    )
 
 
 def test_residual_xi_coefficient_vanishes():

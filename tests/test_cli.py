@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from contactcurves import reporting
+from contactcurves import analysis, cli, curves, families, reporting
 from contactcurves.cli import (
     ConfigError,
     example_spec,
@@ -216,6 +216,63 @@ def test_analyze_rejects_non_unit_speed(tmp_path, capsys):
     rc, _, err = run(["analyze", "--curve", str(path)], capsys)
     assert rc == 2
     assert "not unit speed" in err
+
+
+def test_analyze_loose_tol_accepts_near_unit_speed(tmp_path, capsys):
+    # speed deviates by 1e-5, inside --tol 1e-4; every stage must use that
+    # tolerance, not a fixed default of its own
+    path = tmp_path / "stretched.txt"
+    path.write_text("n=2\n1.00001*sin(2*t)\n-cos(2*t)\n0\n0\n1\n")
+    rc, out, err = run(
+        ["analyze", "--curve", str(path), "--tol", "1e-4"], capsys
+    )
+    assert rc == 0, err
+    report = json.loads(out)
+    assert report["frenet"]["unit_speed_deviation"] == pytest.approx(1e-5, rel=1e-3)
+    assert report["class"] == "circle"
+
+
+def test_analyze_tight_tol_equations_follow_frenet_order(monkeypatch, capsys):
+    # k2 = 3e-8 is a curvature at --tol 1e-9 but would be cut off at a
+    # fixed tol of 1e-7, which would drop the third equation
+    spec = families.orthogonal_helix(1.2, 3e-8)
+    monkeypatch.setattr(cli, "_load_spec", lambda args: (spec, "helix"))
+    rc, out, err = run(["analyze", "--tol", "1e-9"], capsys)
+    assert rc == 0, err
+    report = json.loads(out)
+    assert report["frenet"]["m"] == 3
+    assert len(report["equations"]) == 3
+    assert len(report["theorem"]["equations"]) == 3
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Wrap curves.<name> in every module that holds it; return the counter."""
+    original = getattr(curves, name)
+    counter = {"calls": 0}
+
+    def counting(*args, **kwargs):
+        counter["calls"] += 1
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return counter
+
+
+@pytest.mark.parametrize("argv, frenet_calls, jet_calls", [
+    (["analyze", "--grid", "64"], 1, 2),
+    (["verify-example", "--grid", "64"], 1, 1),
+])
+def test_one_frenet_build_per_command(monkeypatch, capsys, argv,
+                                      frenet_calls, jet_calls):
+    modules = (curves, analysis, cli)
+    frenet = _count_calls(monkeypatch, "frenet_apparatus", modules)
+    jet = _count_calls(monkeypatch, "coordinate_jets", modules)
+    rc, _, err = run(argv, capsys)
+    assert rc == 0, err
+    assert frenet["calls"] == frenet_calls
+    assert jet["calls"] == jet_calls
 
 
 def test_config_validation(capsys):
