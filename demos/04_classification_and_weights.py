@@ -3,7 +3,7 @@
 A curve with constant curvatures is critical for the interpolating energy
 d1*length + d2*bending exactly when the ratio rho = d1/d2 hits a value
 determined by its case: the position of phi T relative to the Frenet frame
-decides which formula applies.  classify() finds the case, solve_delta()
+decides which formula applies.  solve_delta() classifies the curve and
 produces rho, and the scan subcommand tabulates feasibility over ranges.
 """
 
@@ -22,8 +22,8 @@ def inspect(name, spec, ts=None, c=-3.0):
         ts = sample_grid(spec, 128)
     fr = frenet_apparatus(spec, ts)
     sc = frame_scalars(fr)
-    cls = analysis.classify(fr, sc, c)
     sol = analysis.solve_delta(fr, sc, c)
+    cls = sol.classification
     rho = "none" if sol.rho is None else f"{sol.rho:+.6f}"
     extra = ""
     if sol.any_delta:

@@ -292,13 +292,17 @@ class EquationCheck:
 
 @dataclass
 class TheoremCheck:
-    """Scalar criticality equations plus the span condition on phi T terms."""
+    """Scalar criticality equations plus the span condition on phi T terms.
+
+    report is the closed-form residual the equations were read from.
+    """
 
     m: int
     equations: list
     condition1_mode: str       # "c=1" | "orthogonal" | "span" | "violated"
     condition1_leakage: float
     condition1_passed: bool
+    report: ResidualReport
 
     @property
     def passed(self):
@@ -344,6 +348,7 @@ def theorem31_check(frenet, scalars, c=-3.0, delta=(0.0, 1.0), tol=1e-6,
         condition1_mode=mode,
         condition1_leakage=leak,
         condition1_passed=passed,
+        report=report,
     )
 
 
@@ -436,8 +441,7 @@ def classify(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
 class DeltaSolution:
     """Weight ratios rho = d1/d2 (with d2 = 1) that can kill the residual."""
 
-    case: str
-    klass: str
+    classification: CurveClass
     rho: float | None
     rho_pointwise: np.ndarray | None
     rho_spread: float
@@ -445,7 +449,6 @@ class DeltaSolution:
     feasible: bool
     any_delta: bool = False
     k2_deviation: float | None = None
-    alpha0: float | None = None
     notes: list = field(default_factory=list)
 
     @property
@@ -466,7 +469,7 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
     cls = classify(frenet, scalars, c, tol)
     if frenet.r == 1:
         return DeltaSolution(
-            case=cls.case, klass="geodesic", rho=None, rho_pointwise=None,
+            classification=cls, rho=None, rho_pointwise=None,
             rho_spread=0.0, parallel_defect=0.0, feasible=True,
             any_delta=True, notes=["geodesic: residual vanishes for every "
                                    "(d1, d2)"],
@@ -545,15 +548,13 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
                 f"case formula and pointwise ratio disagree by {gap:.3e}"
             )
     return DeltaSolution(
-        case=cls.case,
-        klass=cls.klass,
+        classification=cls,
         rho=rho,
         rho_pointwise=rho_t,
         rho_spread=rho_spread,
         parallel_defect=parallel_defect,
         feasible=feasible,
         k2_deviation=k2_dev,
-        alpha0=cls.alpha0,
         notes=notes,
     )
 
@@ -571,7 +572,7 @@ class IndependenceReport:
     note: str = ""
 
 
-def independence_check(spec, frenet, ts=None, tol=1e-8):
+def independence_check(spec, frenet, tol=1e-8):
     """Pointwise independence of {T, E2, (E3), phi T, nabla_T phi T, xi}.
 
     Defined for osculating order 2 or 3.  Returns the smallest eigenvalue
@@ -584,10 +585,6 @@ def independence_check(spec, frenet, ts=None, tol=1e-8):
             f"independence set is defined for osculating order 2 or 3, "
             f"got r={frenet.r}"
         )
-    if ts is not None:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if ts.shape != frenet.ts.shape or not np.allclose(ts, frenet.ts):
-            raise AnalysisError("grid must match the FrenetData grid")
     n = frenet.n
     dim = 2 * n + 1
     size = frenet.r + 3
@@ -615,11 +612,7 @@ def independence_check(spec, frenet, ts=None, tol=1e-8):
     cols = [frenet.frames[0], frenet.frames[1]]
     if frenet.r == 3:
         cols.append(frenet.frames[2])
-    phiT = np.concatenate(
-        [-frenet.frames[0][n:2 * n], frenet.frames[0][:n],
-         np.zeros((1, N))], axis=0
-    )
-    cols += [phiT, dphiT, xi_col]
+    cols += [phiT_jet.value, dphiT, xi_col]
     A = np.moveaxis(np.stack(cols, axis=2), 1, 0)   # (N, dim, k)
     G = np.einsum("Nik,Nil->Nkl", A, A)
     eigs = np.linalg.eigvalsh(G)

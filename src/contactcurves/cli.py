@@ -35,7 +35,6 @@ from . import analysis, discrete, reporting
 from .curves import (
     CurveError,
     CurveSpec,
-    arclength_check,
     frame_scalars,
     frenet_apparatus,
     sample_grid,
@@ -161,27 +160,12 @@ def cmd_analyze(args):
     ts = sample_grid(spec, args.grid)
     delta = (args.delta1, args.delta2)
 
-    check = arclength_check(spec, ts)
-    defect = float(np.max(np.abs(check.defects)))
-    if defect > args.tol:
-        raise ConfigError(
-            f"curve is not Legendre: max |eta(T)| = {defect:.6e} "
-            f"exceeds tolerance {args.tol:g}"
-        )
-    if check.max_deviation > args.tol:
-        raise ConfigError(
-            f"curve is not unit speed: max speed deviation = "
-            f"{check.max_deviation:.6e} exceeds tolerance {args.tol:g}"
-        )
-
-    frenet = frenet_apparatus(
-        spec, ts, tol=args.tol, unit_tol=10.0 * args.tol
-    )
+    frenet = frenet_apparatus(spec, ts, tol=args.tol, unit_tol=args.tol)
     scalars = frame_scalars(frenet)
-    cls = analysis.classify(frenet, scalars, args.c, tol=args.tol)
     res = analysis._direct_report(frenet, scalars, args.c, delta)
     thm = analysis.theorem31_check(frenet, scalars, args.c, delta, tol=args.tol)
     sol = analysis.solve_delta(frenet, scalars, args.c, tol=args.tol)
+    cls = sol.classification
 
     if sol.any_delta:
         verdict = "any delta admissible"
@@ -229,8 +213,8 @@ def cmd_analyze(args):
             "m": frenet.m,
             "curvature_mean": [float(np.mean(k)) for k in frenet.curvatures],
             "curvature_spread": [_spread(k) for k in frenet.curvatures],
-            "unit_speed_deviation": float(check.max_deviation),
-            "max_legendre_defect": defect,
+            "unit_speed_deviation": frenet.arclength.max_deviation,
+            "max_legendre_defect": frenet.arclength.max_defect,
         },
         "scalars": {
             "f_mean": float(np.mean(scalars.f)),
@@ -265,15 +249,15 @@ def cmd_analyze(args):
             ],
         },
         "solve": {
-            "case": sol.case,
-            "class": sol.klass,
+            "case": cls.case,
+            "class": cls.klass,
             "rho": sol.rho,
             "rho_spread": sol.rho_spread,
             "parallel_defect": sol.parallel_defect,
             "feasible": sol.feasible,
             "any_delta": sol.any_delta,
             "k2_deviation": sol.k2_deviation,
-            "alpha0": sol.alpha0,
+            "alpha0": cls.alpha0,
             "delta": list(sol.delta) if sol.delta is not None else None,
             "verdict": verdict,
             "notes": list(sol.notes),
@@ -296,15 +280,13 @@ def cmd_verify_example(args):
 
     frenet = frenet_apparatus(spec, ts, tol=args.tol)
     scalars = frame_scalars(frenet)
-    cls = analysis.classify(frenet, scalars, args.c, tol=args.tol)
     sol = analysis.solve_delta(frenet, scalars, args.c, tol=args.tol)
+    cls = sol.classification
     thm = analysis.theorem31_check(frenet, scalars, args.c, (-8.0, 2.0),
                                    tol=args.tol, eq2_sign=sign)
     res_crit = analysis._direct_report(frenet, scalars, args.c, (-8.0, 2.0))
     res_biha = analysis._direct_report(frenet, scalars, args.c, (0.0, 1.0))
-    closed = analysis.residual_closed_form(frenet, scalars, args.c,
-                                           (-8.0, 2.0), eq2_sign=sign)
-    route_gap = float(np.max(np.abs(closed.vector - res_crit.vector)))
+    route_gap = float(np.max(np.abs(thm.report.vector - res_crit.vector)))
 
     k1_err = float(np.max(np.abs(frenet.curvatures[0] - 2.0)))
     f_max = float(np.max(np.abs(scalars.f)))

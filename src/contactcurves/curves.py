@@ -62,16 +62,28 @@ _GL_NODES_LO, _GL_WEIGHTS_LO = np.polynomial.legendre.leggauss(10)
 _GL_NODES_HI, _GL_WEIGHTS_HI = np.polynomial.legendre.leggauss(20)
 
 
-def _gl_panel(f, a, b, nodes, weights):
+def _gl_rules(f, a, b):
+    """The 10- and 20-point Gauss rules on [a, b]."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * float(np.dot(weights, f(mid + half * nodes)))
+    return (half * float(np.dot(_GL_WEIGHTS_LO, f(mid + half * _GL_NODES_LO))),
+            half * float(np.dot(_GL_WEIGHTS_HI, f(mid + half * _GL_NODES_HI))))
 
 
-def _adaptive_quad(f, a, b, tol=1e-12, _depth=0):
-    """Integrate f over [a, b], bisecting until two Gauss rules agree."""
-    coarse = _gl_panel(f, a, b, _GL_NODES_LO, _GL_WEIGHTS_LO)
-    fine = _gl_panel(f, a, b, _GL_NODES_HI, _GL_WEIGHTS_HI)
+# Bisection halves the per-panel tolerance so that the panel errors sum to
+# at most tol, but never below this floor: past it the two rules differ by
+# roundoff alone.
+_TOL_FLOOR = 64.0 * np.finfo(float).eps
+
+
+def _adaptive_quad(f, a, b, tol=1e-12, _depth=0, _rules=None):
+    """Integrate f over [a, b], bisecting until two Gauss rules agree.
+
+    Of the two halves, the one whose rules disagree more is bisected first,
+    so a panel that cannot converge (a non-integrable singularity) exhausts
+    the depth, and is named, before its neighbours are refined.
+    """
+    coarse, fine = _gl_rules(f, a, b) if _rules is None else _rules
     err = abs(fine - coarse)
     if err <= tol * max(1.0, abs(fine)):
         return fine
@@ -81,9 +93,11 @@ def _adaptive_quad(f, a, b, tol=1e-12, _depth=0):
             f"estimated error {err:.3e} after {_depth} bisections"
         )
     mid = 0.5 * (a + b)
-    left = _adaptive_quad(f, a, mid, 0.5 * tol, _depth + 1)
-    right = _adaptive_quad(f, mid, b, 0.5 * tol, _depth + 1)
-    return left + right
+    tol = max(0.5 * tol, _TOL_FLOOR)
+    halves = [(a, mid, _gl_rules(f, a, mid)), (mid, b, _gl_rules(f, mid, b))]
+    halves.sort(key=lambda h: abs(h[2][1] - h[2][0]), reverse=True)
+    return sum(_adaptive_quad(f, lo, hi, tol, _depth + 1, rules)
+               for lo, hi, rules in halves)
 
 
 _GL_NODES_PAIR = np.concatenate((_GL_NODES_LO, _GL_NODES_HI))
@@ -422,7 +436,7 @@ class ArclengthReport:
     ts: np.ndarray
     speeds: np.ndarray              # contact-metric speed |gamma'|_g
     max_deviation: float            # max |speed - 1|
-    horizontal_speed_sq: np.ndarray  # (1/4) sum over x,y slots of squares
+    max_defect: float               # max |eta(gamma')|
     defects: np.ndarray             # eta(gamma') along the grid
 
     @property
@@ -430,16 +444,12 @@ class ArclengthReport:
         return self.max_deviation < 1e-6
 
 
-def arclength_check(spec, ts):
-    """Speed and Legendre defect along a grid.
+def _arclength_report(ts, cj, n):
+    """Speed and Legendre defect from a coordinate jet of order >= 1.
 
-    For a Legendre curve the contact-metric speed reduces to the scaled
-    horizontal speed, which is why both are reported: their difference is
-    another view of the defect.
+    The contact-metric speed is sqrt(eta(gamma')^2 + horizontal part), so a
+    Legendre curve's speed is its scaled horizontal speed.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    cj = coordinate_jets(spec, ts, order=1)
-    n = spec.n
     v = cj.deriv(1)
     y = cj.value[n:2 * n]
     defect = 0.5 * (v[2 * n] - np.sum(y * v[:n], axis=0))
@@ -449,9 +459,15 @@ def arclength_check(spec, ts):
         ts=ts,
         speeds=speed,
         max_deviation=float(np.max(np.abs(speed - 1.0), initial=0.0)),
-        horizontal_speed_sq=horiz,
+        max_defect=float(np.max(np.abs(defect), initial=0.0)),
         defects=defect,
     )
+
+
+def arclength_check(spec, ts):
+    """Speed and Legendre defect along a grid, from order-1 jets."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    return _arclength_report(ts, coordinate_jets(spec, ts, order=1), spec.n)
 
 
 def reparametrize_arclength(spec, ts, refine=8):
@@ -573,7 +589,8 @@ class FrenetData:
     curvatures[i] holds k_{i+1} >= 0 on the grid.  r is the osculating
     order: the number of frames, constant along the curve by construction
     (a crossing raises instead).  Jets of the same data are kept for the
-    analysis layer, which needs derivatives of the curvatures.
+    analysis layer, which needs derivatives of the curvatures.  arclength
+    holds the speed and Legendre defect read from the same jets.
     """
 
     ts: np.ndarray
@@ -584,6 +601,7 @@ class FrenetData:
     points: np.ndarray        # (2n+1, N) curve coordinates
     y: np.ndarray             # (n, N) the y coordinates, for conversions
     tol: float
+    arclength: ArclengthReport | None = None   # None for synthetic frames
     frame_jets: list = field(default_factory=list, repr=False)
     curvature_jets: list = field(default_factory=list, repr=False)
 
@@ -622,6 +640,11 @@ def frenet_apparatus(spec, ts, tol=1e-7, jet_order=6, unit_tol=1e-6):
     tol across the whole grid; a curvature that dips below tol somewhere but
     not everywhere means the osculating order is not constant and raises
     CurveError naming the offending parameter.
+
+    Before that, the first derivative slot of the same coordinate jets
+    gives the speed and the Legendre defect eta(T); unit_tol bounds both
+    |eta(T)| and |speed - 1|, and their report is kept as
+    FrenetData.arclength.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = spec.n
@@ -629,14 +652,16 @@ def frenet_apparatus(spec, ts, tol=1e-7, jet_order=6, unit_tol=1e-6):
     if jet_order < 2:
         raise CurveError("jet_order must be at least 2")
     cj, y, T = _curve_frames(spec, ts, order=jet_order)
-
-    speed = np.sqrt(np.maximum(_metric_jet(T, T).value, 0.0))
-    dev = np.max(np.abs(speed - 1.0))
-    if dev > unit_tol:
-        bad = ts[int(np.argmax(np.abs(speed - 1.0)))]
+    arclength = _arclength_report(ts, cj, n)
+    if arclength.max_defect > unit_tol:
         raise CurveError(
-            f"curve is not unit speed: |T| deviates by {dev:.3e} near "
-            f"t={bad:.6g}; reparametrize by arclength first"
+            f"curve is not Legendre: max |eta(T)| = "
+            f"{arclength.max_defect:.6e} exceeds tolerance {unit_tol:g}"
+        )
+    if arclength.max_deviation > unit_tol:
+        raise CurveError(
+            f"curve is not unit speed: max speed deviation = "
+            f"{arclength.max_deviation:.6e} exceeds tolerance {unit_tol:g}"
         )
 
     frame_list = [T]
@@ -685,6 +710,7 @@ def frenet_apparatus(spec, ts, tol=1e-7, jet_order=6, unit_tol=1e-6):
         points=cj.value,
         y=y.value,
         tol=tol,
+        arclength=arclength,
         frame_jets=frame_list,
         curvature_jets=curv_jets,
     )

@@ -42,7 +42,6 @@ __all__ = [
     "DescentRow",
     "DescentResult",
     "discrete_energy",
-    "discrete_tension",
     "discrete_residual",
     "energy_gradient",
     "first_variation_check",
@@ -173,15 +172,13 @@ class EnergyBreakdown:
         return self.dirichlet + self.bending
 
 
-def _vertex_tension(curve: DiscreteCurve, u=None):
+def _vertex_tension(curve: DiscreteCurve, u):
     """Discrete nabla_T T at vertices, shape (dim, K).
 
     K = N for closed curves; for open curves only the N-2 interior
-    vertices have a centered stencil.  Also returns the vertex tangents
-    used for curvature terms downstream.
+    vertices have a centered stencil.  u is curve.chord_frames().  Also
+    returns the vertex tangents used for curvature terms downstream.
     """
-    if u is None:
-        u = curve.chord_frames()
     if curve.closed:
         u_prev = np.roll(u, 1, axis=1)
         du = (u - u_prev) / curve.h
@@ -191,11 +188,6 @@ def _vertex_tension(curve: DiscreteCurve, u=None):
         T = 0.5 * (u[:, 1:] + u[:, :-1])
     tau = du + gamma_frame(curve.n, T, T)
     return tau, T
-
-
-def discrete_tension(curve: DiscreteCurve):
-    """Vertex bending vectors (frame coefficients) of the polyline."""
-    return _vertex_tension(curve)[0]
 
 
 def discrete_energy(curve: DiscreteCurve, delta) -> EnergyBreakdown:

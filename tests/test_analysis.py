@@ -353,7 +353,7 @@ def test_classify_flags_nonconstant_f():
 def test_solve_example(example_curve, example_grid):
     fr, sc = frenet_pair(example_curve, example_grid)
     sol = analysis.solve_delta(fr, sc)
-    assert sol.case == "II"
+    assert sol.classification.case == "II"
     assert abs(sol.rho + 4.0) < 1e-9
     assert sol.delta == pytest.approx((-4.0, 1.0))
     assert sol.rho_spread < 1e-9
@@ -366,7 +366,7 @@ def test_solve_case1():
     spec = families.orthogonal_helix(0.6, 0.5)
     fr, sc = frenet_pair(spec, grid(spec))
     sol = analysis.solve_delta(fr, sc, c=1.0)
-    assert sol.case == "I"
+    assert sol.classification.case == "I"
     assert abs(sol.rho - (1.0 - 0.6**2 - 0.5**2)) < 1e-9
     assert sol.feasible
     chk = analysis.theorem31_check(fr, sc, c=1.0, delta=sol.delta)
@@ -377,7 +377,7 @@ def test_solve_case2_order3():
     spec = families.orthogonal_helix(1.2, 1.6)
     fr, sc = frenet_pair(spec, grid(spec))
     sol = analysis.solve_delta(fr, sc)
-    assert (sol.klass, sol.case) == ("helix", "II")
+    assert (sol.classification.klass, sol.classification.case) == ("helix", "II")
     assert abs(sol.rho + 4.0) < 1e-9
     assert sol.feasible
     assert abs(sol.rho - np.mean(sol.rho_pointwise)) < 1e-9
@@ -388,7 +388,7 @@ def test_solve_case3_helix():
     spec = families.helix(3.0)
     fr, sc = frenet_pair(spec, grid(spec))
     sol = analysis.solve_delta(fr, sc)
-    assert sol.case == "III"
+    assert sol.classification.case == "III"
     assert abs(sol.rho + 13.0) < 1e-9
     assert sol.k2_deviation < 1e-9
     assert sol.feasible
@@ -399,7 +399,7 @@ def test_solve_case4_infeasible():
     spec = families.r4_curve(0)
     fr, sc = frenet_pair(spec, grid(spec))
     sol = analysis.solve_delta(fr, sc)
-    assert sol.case == "IV"
+    assert sol.classification.case == "IV"
     inv = families.two_exp_invariants(*families.R4_PARAMS[0])
     expected = -3.0 * inv.f**2 - inv.k1**2 - inv.k2**2
     assert abs(sol.rho - expected) < 1e-9
@@ -529,7 +529,7 @@ def test_case4_frozen_product():
     assert rep.max_residuals["k2k3_ode"] < 1e-9
 
     sol = analysis.solve_delta(fr, sc, c=7.0)
-    assert sol.case == "IV"
+    assert sol.classification.case == "IV"
     assert sol.feasible
     expected_rho = 10.0 / 4.0 + (18.0 / 4.0) * np.cos(a0) ** 2 - 1.0 - k2**2
     assert abs(sol.rho - expected_rho) < 1e-9

@@ -246,8 +246,8 @@ def test_analyze_tight_tol_equations_follow_frenet_order(monkeypatch, capsys):
 
 
 def _count_calls(monkeypatch, name, modules):
-    """Wrap curves.<name> in every module that holds it; return the counter."""
-    original = getattr(curves, name)
+    """Wrap modules[0].<name> in every module that holds it; return the counter."""
+    original = getattr(modules[0], name)
     counter = {"calls": 0}
 
     def counting(*args, **kwargs):
@@ -261,18 +261,24 @@ def _count_calls(monkeypatch, name, modules):
 
 
 @pytest.mark.parametrize("argv, frenet_calls, jet_calls", [
-    (["analyze", "--grid", "64"], 1, 2),
+    (["analyze", "--grid", "64"], 1, 1),
     (["verify-example", "--grid", "64"], 1, 1),
 ])
 def test_one_frenet_build_per_command(monkeypatch, capsys, argv,
                                       frenet_calls, jet_calls):
+    # one curve evaluation, one Frenet build and one classification; the
+    # closed form runs once in the theorem check and once in the solver
     modules = (curves, analysis, cli)
     frenet = _count_calls(monkeypatch, "frenet_apparatus", modules)
     jet = _count_calls(monkeypatch, "coordinate_jets", modules)
+    cls = _count_calls(monkeypatch, "classify", (analysis, cli))
+    closed = _count_calls(monkeypatch, "residual_closed_form", (analysis, cli))
     rc, _, err = run(argv, capsys)
     assert rc == 0, err
     assert frenet["calls"] == frenet_calls
     assert jet["calls"] == jet_calls
+    assert cls["calls"] == 1
+    assert closed["calls"] == 2
 
 
 def test_config_validation(capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -106,8 +108,20 @@ def test_make_legendre_profile_mismatch():
 
 def test_quadrature_divergence_raises():
     spec = make_legendre(["1/(1 - t)"], ["1"])
-    with pytest.raises(QuadratureError, match="did not converge"):
+    with pytest.raises(QuadratureError, match="did not converge") as err:
         spec.point(np.array([2.0]))
+    # the panel named is the non-integrable singularity at t = 1
+    a, b = map(float, re.search(r"on \[(\S+), (\S+)\]", str(err.value)).groups())
+    assert abs(a - 1.0) < 1e-3 and abs(b - 1.0) < 1e-3
+
+
+def test_quadrature_integrable_endpoint_singularity():
+    # integral_0^1 log(s) ds = -1; the bisection toward s = 0 must stop at
+    # roundoff instead of demanding ever smaller absolute errors
+    spec = make_legendre(["t"], ["log(t)"])
+    z = spec.point(np.array([1.0, 2.0]))[-1]
+    assert abs(z[0] + 1.0) < 1e-12
+    assert abs(z[1] - (2.0 * np.log(2.0) - 2.0)) < 1e-12
 
 
 def test_frenet_example_curve(example_curve, example_grid):
@@ -164,6 +178,36 @@ def test_frenet_rejects_non_unit_speed():
     spec = CurveSpec(2, ["sin(t)", "-cos(t)", "0", "0", "1"])
     with pytest.raises(CurveError, match="not unit speed"):
         frenet_apparatus(spec, sample_grid(spec, 64))
+
+
+def test_frenet_checks_legendre_before_speed():
+    # eta(T) = 1/2 and speed sqrt(1/2): the Legendre defect is reported
+    spec = CurveSpec(1, ["t", "0", "t"])
+    with pytest.raises(CurveError, match="not Legendre"):
+        frenet_apparatus(spec, np.linspace(0.0, 1.0, 32))
+
+
+@pytest.mark.parametrize("grid", [64, 256])
+@pytest.mark.parametrize("spec", [
+    pytest.param(CurveSpec(2, ["sin(2*t)", "-cos(2*t)", "0", "0", "1"]),
+                 id="example"),
+    pytest.param(families.helix(), id="helix"),
+    pytest.param(families.orthogonal_helix(), id="orthogonal_helix"),
+    pytest.param(families.r4_curve(0), id="r4_curve"),
+    pytest.param(families.two_exponential(0.3, 2.0, -1.0), id="two_exponential"),
+    *(pytest.param(
+        families.random_legendre_curve(np.random.default_rng(10 + r), r)[0],
+        id=f"random_r{r}") for r in (1, 2, 3, 4)),
+])
+def test_frenet_arclength_equals_arclength_check(spec, grid):
+    # the order-6 jets' first derivative slot gives the order-1 numbers
+    ts = sample_grid(spec, grid)
+    got = frenet_apparatus(spec, ts).arclength
+    want = arclength_check(spec, ts)
+    for name in ("ts", "speeds", "defects"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.max_deviation == want.max_deviation
+    assert got.max_defect == want.max_defect
 
 
 def test_frenet_nonconstant_order_names_t():

@@ -1,0 +1,78 @@
+"""Threshold decisions must not depend on where or from when a curve is seen.
+
+Heisenberg translations are isometries of the model that fix the
+left-invariant frame, and a parameter phase shift only moves the samples
+along the same curve, so the osculating order, class, case and weight ratio
+of a curve must survive both, and the two residual routes must still agree.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from contactcurves import analysis, families
+from contactcurves.curves import (
+    frame_scalars,
+    frenet_apparatus,
+    make_legendre,
+    sample_grid,
+)
+
+GRID = 96
+TOL = 1e-6
+
+
+def translated(spec, a, b):
+    """The curve moved by the Heisenberg translation with offsets (a, b).
+
+    Rebuilt from the shifted profiles x + a, y + b, so z follows through
+    z' = sum (y + b) x' and the result is Legendre by construction.
+    """
+    z = spec.coords[-1]
+    xs = [f"({e.text})+({v!r})" for e, v in zip(z.x_exprs, a)]
+    ys = [f"({e.text})+({v!r})" for e, v in zip(z.y_exprs, b)]
+    return make_legendre(xs, ys, z0=z.z0, period=spec.period,
+                         closed=spec.closed)
+
+
+def verdicts(spec, ts, c, delta):
+    frenet = frenet_apparatus(spec, ts, tol=TOL)
+    scalars = frame_scalars(frenet)
+    sol = analysis.solve_delta(frenet, scalars, c, tol=TOL)
+    direct = analysis._direct_report(frenet, scalars, c, delta)
+    closed = analysis.residual_closed_form(frenet, scalars, c, delta)
+    gap = float(np.max(np.abs(direct.vector - closed.vector)))
+    cls = sol.classification
+    return (frenet.r, cls.klass, cls.case), sol.rho, gap
+
+
+@settings(max_examples=48, deadline=None, derandomize=True, database=None)
+@given(
+    r=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    offsets=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    phase=st.floats(0.0, 1.0),
+    c=st.sampled_from([-3.0, 1.0, 2.5]),
+    d1=st.floats(-8.0, 8.0),
+)
+def test_verdicts_survive_translation_and_phase_shift(r, seed, offsets, phase,
+                                                      c, d1):
+    spec, _ = families.random_legendre_curve(np.random.default_rng(seed), r)
+    n = spec.n
+    moved = translated(spec, offsets[:n], offsets[n:2 * n])
+    ts = sample_grid(spec, GRID)
+    delta = (d1, 1.0)
+
+    base, rho, gap = verdicts(spec, ts, c, delta)
+    moved_base, moved_rho, moved_gap = verdicts(
+        moved, ts + phase * spec.period, c, delta)
+
+    assert moved_base == base
+    if rho is None:
+        assert moved_rho is None
+    else:
+        assert moved_rho == pytest.approx(rho, rel=1e-9, abs=1e-9)
+    assert gap <= 1e-6
+    assert moved_gap <= 1e-6
