@@ -43,14 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import (
-    _curve_frames,
-    _nabla_along,
-    _phi_jet,
-    frame_scalars,
-    frenet_apparatus,
-)
-from .model import space_form_curvature_frame
+from .curves import _curve_frames, _nabla_along, frame_scalars, frenet_apparatus
+from .model import metric_frame, phi_frame, space_form_curvature_frame
 
 __all__ = [
     "AnalysisError",
@@ -84,7 +78,12 @@ class AnalysisError(ValueError):
 
 
 def _direct_jets(n, T, depth=3):
-    """T and its iterated covariant derivatives nabla_T^k T, k = 1..depth."""
+    """T and its iterated covariant derivatives nabla_T^k T, k = 1..depth.
+
+    Each derivative costs one order and callers read only values, so T is
+    cut to order depth first; truncation leaves every value unchanged.
+    """
+    T = T.truncate(depth)
     out = [T]
     for _ in range(depth):
         out.append(_nabla_along(n, T, out[-1]))
@@ -114,8 +113,8 @@ def _span_leakage(vec, frames_m):
     """
     rem = vec.copy()
     for e in frames_m:
-        rem -= np.einsum("kN,kN->N", vec, e)[np.newaxis] * e
-    return np.sqrt(np.maximum(np.einsum("kN,kN->N", rem, rem), 0.0))
+        rem -= metric_frame(vec, e)[np.newaxis] * e
+    return np.sqrt(np.maximum(metric_frame(rem, rem), 0.0))
 
 
 @dataclass
@@ -143,7 +142,7 @@ class ResidualReport:
 
     @property
     def norms(self):
-        return np.sqrt(np.einsum("kN,kN->N", self.vector, self.vector))
+        return np.sqrt(metric_frame(self.vector, self.vector))
 
     @property
     def max_norm(self):
@@ -162,12 +161,10 @@ def _build_report(vector, frenet, scalars, c, delta, route, equation_residuals,
     projections = {}
     for i in range(4):
         if i < frenet.r:
-            projections[f"E{i + 1}"] = np.einsum(
-                "kN,kN->N", vector, frenet.frames[i]
-            )
+            projections[f"E{i + 1}"] = metric_frame(vector, frenet.frames[i])
         else:
             projections[f"E{i + 1}"] = np.zeros(N)
-    projections["phiT"] = np.einsum("kN,kN->N", vector, scalars.phiT)
+    projections["phiT"] = metric_frame(vector, scalars.phiT)
     projections["xi"] = vector[2 * n].copy()
     return ResidualReport(
         ts=frenet.ts,
@@ -197,7 +194,7 @@ def _direct_report(frenet, scalars, c, delta):
     curv = space_form_curvature_frame(c, T.value, tau.value, T.value, n)
     vector = d2 * (tau_3.value - curv) - d1 * tau.value
     eqs = np.stack([
-        np.einsum("kN,kN->N", vector, frenet.frames[i])
+        metric_frame(vector, frenet.frames[i])
         for i in range(frenet.m)
     ])
     return _build_report(vector, frenet, scalars, c, (d1, d2), "direct", eqs)
@@ -486,7 +483,7 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
     tau_vec = k1[np.newaxis] * frenet.frames[1]
     defect_vec = pure.vector - rho_t[np.newaxis] * tau_vec
     parallel_defect = float(np.max(np.sqrt(np.maximum(
-        np.einsum("kN,kN->N", defect_vec, defect_vec), 0.0))))
+        metric_frame(defect_vec, defect_vec), 0.0))))
     rho_spread = float(np.ptp(rho_t))
 
     notes = []
@@ -603,9 +600,9 @@ def independence_check(spec, frenet, tol=1e-8):
             "independence_check needs jet-backed FrenetData from "
             "frenet_apparatus"
         )
-    Tj = frenet.frame_jets[0]
-    phiT_jet = _phi_jet(Tj, n)
-    dphiT = _nabla_along(n, Tj.truncate(phiT_jet.order), phiT_jet).value
+    Tj = frenet.frame_jets[0].truncate(1)   # only values are read
+    phiT_jet = phi_frame(Tj, n)
+    dphiT = _nabla_along(n, Tj, phiT_jet).value
     N = frenet.ts.size
     xi_col = np.zeros((dim, N))
     xi_col[2 * n] = 1.0

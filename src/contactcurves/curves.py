@@ -10,9 +10,12 @@ derivatives are exact up to the jet order; no finite differencing happens
 inside this module.
 
 Tangent vectors along a curve are handled in frame coefficients, i.e. the
-components against (X_1..X_n, X_{n+1}..X_{2n}, xi).  The covariant derivative
-of a coefficient jet V along the curve is the coefficient derivative plus the
-bilinear connection term from :func:`contactcurves.model.gamma_frame`.
+components against (X_1..X_n, X_{n+1}..X_{2n}, xi), with the frame algebra
+of :mod:`contactcurves.model` applied to jets.  The covariant derivative of
+a coefficient jet V along the curve is the coefficient derivative plus the
+bilinear connection term :func:`contactcurves.model.gamma_frame`.  The
+Frenet jets have order max(6, 2n+1), enough for every osculating order the
+dimension allows.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import jets
 from .expressions import Expr, parse
-from .model import gamma_frame
+from .model import eta_frame, from_frame, gamma_frame, metric_frame, phi_frame, to_frame
 
 __all__ = [
     "CurveError",
@@ -325,59 +328,6 @@ def velocity(spec, t, order=1):
     return v[:, 0] if scalar else v
 
 
-# frame-coefficient plumbing ------------------------------------------------
-
-
-def _to_frame_jet(u, y, n):
-    """Frame coefficients of a coordinate-component jet u along the curve.
-
-    u has value shape (2n+1, N); y is the jet of the y coordinates of the
-    base curve, value shape (n, N).
-    """
-    ux = u[slice(0, n)]
-    uy = u[slice(n, 2 * n)]
-    uz = u[2 * n]
-    alpha = uy * 0.5
-    beta = ux * 0.5
-    w = (uz - (y.truncate(min(u.order, y.order)) * ux).sum(0)) * 0.5
-    K = min(alpha.order, w.order)
-    wj = w.truncate(K)
-    return jets.concat(
-        [alpha.truncate(K), beta.truncate(K),
-         jets.Jet(wj.coeffs[:, np.newaxis, :])],
-        axis=0,
-    )
-
-
-def _to_frame_array(u, y, n):
-    """Pointwise frame coefficients for sampled components u (2n+1, N)."""
-    alpha = 0.5 * u[n:2 * n]
-    beta = 0.5 * u[:n]
-    w = 0.5 * (u[2 * n] - np.sum(y * u[:n], axis=0))
-    return np.concatenate([alpha, beta, w[np.newaxis]], axis=0)
-
-
-def _from_frame_array(c, y, n):
-    ux = 2.0 * c[n:2 * n]
-    uy = 2.0 * c[:n]
-    uz = 2.0 * c[2 * n] + 2.0 * np.sum(y * c[n:2 * n], axis=0)
-    return np.concatenate([ux, uy, uz[np.newaxis]], axis=0)
-
-
-def _metric_jet(a, b):
-    """Plain dot product of two frame-coefficient jets, value shape (N,)."""
-    K = min(a.order, b.order)
-    return (a.truncate(K) * b.truncate(K)).sum(0)
-
-
-def _phi_jet(u, n):
-    """phi applied to a frame-coefficient jet: (a, b, w) -> (-b, a, 0)."""
-    alpha = u[slice(0, n)]
-    beta = u[slice(n, 2 * n)]
-    zero = jets.Jet(np.zeros((u.order + 1, 1) + u.coeffs.shape[2:]))
-    return jets.concat([beta * (-1.0), alpha, zero], axis=0)
-
-
 def _nabla_along(n, t_frame, v_frame):
     """Covariant derivative of coefficient jet v_frame along the curve.
 
@@ -394,7 +344,7 @@ def _curve_frames(spec, ts, order):
     cj = coordinate_jets(spec, ts, order=order)
     n = spec.n
     y = cj[slice(n, 2 * n)]
-    T = _to_frame_jet(cj.derivative(), y.truncate(order - 1), n)
+    T = to_frame(cj.derivative(), y, n)
     return cj, y, T
 
 
@@ -451,8 +401,7 @@ def _arclength_report(ts, cj, n):
     Legendre curve's speed is its scaled horizontal speed.
     """
     v = cj.deriv(1)
-    y = cj.value[n:2 * n]
-    defect = 0.5 * (v[2 * n] - np.sum(y * v[:n], axis=0))
+    defect = eta_frame(to_frame(v, cj.value[n:2 * n], n))
     horiz = 0.25 * np.sum(v[:2 * n] ** 2, axis=0)
     speed = np.sqrt(defect ** 2 + horiz)
     return ArclengthReport(
@@ -523,9 +472,9 @@ def covariant_derivative_along(spec, field, ts):
         except Exception:
             vals = None
         if isinstance(vals, jets.Jet):
-            vf = _to_frame_jet(vals, y.truncate(vals.order), n)
+            vf = to_frame(vals, y, n)
             dT = _nabla_along(n, T.truncate(vf.order), vf)
-            return _from_frame_array(dT.value, yv, n)
+            return from_frame(dT.value, yv, n)
         # not jet-aware; fall back to pointwise samples and stencils
         field = np.stack(
             [np.asarray(field(t), dtype=float) for t in ts], axis=1
@@ -544,10 +493,10 @@ def covariant_derivative_along(spec, field, ts):
     steps = np.diff(ts)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise CurveError("sampled-field differentiation needs a uniform grid")
-    coeffs = _to_frame_array(field, yv, n)
+    coeffs = to_frame(field, yv, n)
     dcoeffs = _stencil_derivative(coeffs, steps[0])
     out = dcoeffs + gamma_frame(n, T.value, coeffs)
-    return _from_frame_array(out, yv, n)
+    return from_frame(out, yv, n)
 
 
 def _stencil_derivative(rows, h):
@@ -631,7 +580,7 @@ class FrenetData:
         return np.stack(rows)
 
 
-def frenet_apparatus(spec, ts, tol=1e-7, jet_order=6, unit_tol=1e-6):
+def frenet_apparatus(spec, ts, tol=1e-7, unit_tol=1e-6):
     """Frenet frames and curvatures along a unit-speed curve.
 
     Runs Gram-Schmidt on successive covariant derivatives of the velocity,
@@ -645,13 +594,16 @@ def frenet_apparatus(spec, ts, tol=1e-7, jet_order=6, unit_tol=1e-6):
     gives the speed and the Legendre defect eta(T); unit_tol bounds both
     |eta(T)| and |speed - 1|, and their report is kept as
     FrenetData.arclength.
+
+    The coordinate jets have order max(6, 2n+1), fixed by the dimension.
+    Each covariant derivative costs one order, so E_i has order
+    max(6, 2n+1) - i: E_1..E_{2n} can all be differentiated, whatever the
+    osculating order, and k_1 keeps at least four exact derivatives.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = spec.n
     dim = spec.dim
-    if jet_order < 2:
-        raise CurveError("jet_order must be at least 2")
-    cj, y, T = _curve_frames(spec, ts, order=jet_order)
+    cj, y, T = _curve_frames(spec, ts, order=max(6, dim))
     arclength = _arclength_report(ts, cj, n)
     if arclength.max_defect > unit_tol:
         raise CurveError(
@@ -672,16 +624,10 @@ def frenet_apparatus(spec, ts, tol=1e-7, jet_order=6, unit_tol=1e-6):
         if i == dim:
             r = dim
             break
-        prev = frame_list[-1]
-        if prev.order < 1:
-            raise CurveError(
-                f"jet order {jet_order} exhausted before the osculating "
-                f"order was determined; retry with a larger jet_order"
-            )
-        w = _nabla_along(n, T, prev)
+        w = _nabla_along(n, T, frame_list[-1])
         for e in frame_list:
-            w = w - _metric_jet(w, e) * e.truncate(w.order)
-        norm2 = _metric_jet(w, w)
+            w = w - metric_frame(w, e) * e.truncate(w.order)
+        norm2 = metric_frame(w, w)
         kvals = np.sqrt(np.maximum(norm2.value, 0.0))
         if np.max(kvals) < tol:
             r = i
@@ -739,33 +685,29 @@ def frame_scalars(frenet):
     """Scalars g(phi T, E_i) and eta(E_i) for i = 2..4 along the curve."""
     n = frenet.n
     N = frenet.ts.size
-    T = frenet.frames[0]
-    phiT = np.concatenate(
-        [-T[n:2 * n], T[:n], np.zeros((1, N))], axis=0
-    )
+    phiT = phi_frame(frenet.frames[0], n)
 
     def pair(i):
         if frenet.r >= i:
-            return np.einsum("kN,kN->N", phiT, frenet.frames[i - 1])
+            return metric_frame(phiT, frenet.frames[i - 1])
         return np.zeros(N)
 
     def eta_of(i):
         if frenet.r >= i:
-            return frenet.frames[i - 1][2 * n].copy()
+            return eta_frame(frenet.frames[i - 1]).copy()
         return np.zeros(N)
 
     f = pair(2)
     proj = np.zeros_like(phiT)
     for i in range(2, frenet.m + 1):
         proj += pair(i)[np.newaxis] * frenet.frames[i - 1]
-    offspan = np.sqrt(np.maximum(
-        np.einsum("kN,kN->N", phiT - proj, phiT - proj), 0.0
-    ))
+    rest = phiT - proj
+    offspan = np.sqrt(metric_frame(rest, rest))
 
     f_jet = None
     if frenet.frame_jets and frenet.r >= 2:
-        Tj = frenet.frame_jets[0]
-        f_jet = _metric_jet(_phi_jet(Tj, n), frenet.frame_jets[1])
+        f_jet = metric_frame(phi_frame(frenet.frame_jets[0], n),
+                             frenet.frame_jets[1])
 
     return FrameScalars(
         f=f,

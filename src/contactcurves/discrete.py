@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .curves import CurveSpec, _to_frame_array, sample_grid, coordinate_jets
-from .model import gamma_frame, space_form_curvature_frame
+from .curves import CurveSpec, sample_grid, coordinate_jets
+from .model import gamma_frame, space_form_curvature_frame, to_frame
 
 __all__ = [
     "DiscreteCurve",
@@ -146,7 +146,7 @@ class DiscreteCurve:
         segment, since the polyline then has no usable direction there.
         """
         dp, ybar = self._chords()
-        return _to_frame_array(dp, ybar, self.n)
+        return to_frame(dp, ybar, self.n)
 
     def max_defect(self):
         """Largest |eta| of any chord velocity (0 for exactly Legendre data)."""
@@ -266,7 +266,7 @@ def energy_gradient(curve: DiscreteCurve, delta):
     d1, d2 = float(delta[0]), float(delta[1])
     n, h = curve.n, curve.h
     dp, ybar = curve._chords()
-    u = _to_frame_array(dp, ybar, n)
+    u = to_frame(dp, ybar, n)
     tau, T = _vertex_tension(curve, u)
 
     # tau = du + Gamma(T, T), where Gamma(T, T) = (2e b, -2e a, 0) for T = (a, b, e)
@@ -353,7 +353,7 @@ def _variation_data(spec, delta, V, N, eps, c):
     slope = (discrete_energy(plus, delta).total - discrete_energy(minus, delta).total) / (2 * eps)
 
     rep = analysis.residual_direct(spec, ts, c=c, delta=delta)
-    v_frame = _to_frame_array(cols, base.points[base.n:2 * base.n], base.n)
+    v_frame = to_frame(cols, base.points[base.n:2 * base.n], base.n)
     weights = np.full(N, h)
     if not spec.closed:
         weights[0] = weights[-1] = 0.5 * h

@@ -18,6 +18,20 @@ Frame coefficients of a tangent vector u are ordered the same way as frame
 indices: (alpha_1..alpha_n, beta_1..beta_n, w) with u = sum alpha_i X_i +
 sum beta_i X_{n+i} + w xi and w = eta(u).
 
+The curves, analysis and discrete modules work in frame coefficients along
+whole grids, through these operations:
+
+    to_frame, from_frame        coordinate components <-> frame coefficients
+    phi_frame, eta_frame        the structure tensors
+    metric_frame                g, a plain dot product (the frame is orthonormal)
+    gamma_frame                 the connection table as a bilinear form
+    space_form_curvature_frame  R(X,Y)Z of the space form
+
+Each takes plain arrays of shape (2n+1, ...) or Jets with that value shape
+and runs the same body on both.  The per-point functions on a ModelPoint
+(to_frame_coeffs, connection_frame_coeffs, ...) are the reference the tests
+hold these against.
+
 Curvature sign convention: the space-form formula implemented below equals
 R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z, verified
 against a finite-difference Riemann oracle of the coordinate metric in the
@@ -44,6 +58,8 @@ __all__ = [
     "to_frame_coeffs",
     "from_frame_coeffs",
     "connection_frame_coeffs",
+    "to_frame",
+    "from_frame",
     "gamma_frame",
     "phi_frame",
     "eta_frame",
@@ -220,6 +236,44 @@ def connection_frame_coeffs(n: int, i: int, j: int) -> np.ndarray:
     return out
 
 
+# -- frame-coefficient algebra ------------------------------------------------
+#
+# Arrays and Jets both support slicing, + - * and .sum(0), so only joining
+# the component blocks needs to tell them apart; _join does that for all.
+
+
+def _join(top, mid, last=None):
+    """Stack an X_i block (n, ...), an X_{n+i} block and the xi coefficient.
+
+    last=None stands for a zero xi coefficient.  Jet blocks carry a leading
+    order axis, so they are joined along the next axis at their lowest
+    common order.
+    """
+    if isinstance(top, jets.Jet):
+        K = min(b.order for b in (top, mid, last) if b is not None)
+        top, mid = top.coeffs[: K + 1], mid.coeffs[: K + 1]
+        xi = np.zeros_like(top[:, :1]) if last is None else last.coeffs[: K + 1, None]
+        return jets.Jet(np.concatenate([top, mid, xi], axis=1))
+    xi = np.zeros_like(top[:1]) if last is None else last[np.newaxis]
+    return np.concatenate([top, mid, xi])
+
+
+def to_frame(u, y, n: int):
+    """Frame coefficients of coordinate components u along points with y rows y.
+
+    u has shape (2n+1, ...) and y shape (n, ...): the vectorized
+    to_frame_coeffs, (u_y / 2, u_x / 2, eta(u)) at every sample.
+    """
+    ux = u[:n]
+    return _join(u[n : 2 * n] * 0.5, ux * 0.5, (u[2 * n] - (y * ux).sum(0)) * 0.5)
+
+
+def from_frame(c, y, n: int):
+    """Coordinate components of frame coefficients c: the inverse of to_frame."""
+    beta = c[n : 2 * n]
+    return _join(beta * 2.0, c[:n] * 2.0, c[2 * n] * 2.0 + (y * beta).sum(0) * 2.0)
+
+
 def gamma_frame(n: int, t_coeffs, v_coeffs):
     """Bilinear connection term sum_{jk} T_j V_k nabla_{F_j}F_k in frame coefficients.
 
@@ -228,59 +282,25 @@ def gamma_frame(n: int, t_coeffs, v_coeffs):
         X_i-part      =  b_i w + e beta_i
         X_{n+i}-part  = -(a_i w + e alpha_i)
         xi-part       =  sum_i (a_i beta_i - b_i alpha_i)
-
-    Accepts plain arrays of shape (2n+1, ...) or Jets with that value shape.
     """
-    if isinstance(t_coeffs, jets.Jet) or isinstance(v_coeffs, jets.Jet):
-        a, b, e = t_coeffs[slice(0, n)], t_coeffs[slice(n, 2 * n)], t_coeffs[2 * n]
-        al, be, w = v_coeffs[slice(0, n)], v_coeffs[slice(n, 2 * n)], v_coeffs[2 * n]
-        top = b * w + e * be
-        mid = -(a * w + e * al)
-        bot = (a * be - b * al).sum(0)
-        K = min(top.order, mid.order, bot.order)
-        out = np.concatenate(
-            [top.coeffs[: K + 1], mid.coeffs[: K + 1], bot.coeffs[: K + 1, None]], axis=1
-        )
-        return jets.Jet(out)
     a, b, e = t_coeffs[:n], t_coeffs[n : 2 * n], t_coeffs[2 * n]
     al, be, w = v_coeffs[:n], v_coeffs[n : 2 * n], v_coeffs[2 * n]
-    out = np.empty(np.broadcast_shapes(t_coeffs.shape, v_coeffs.shape))
-    out[:n] = b * w + e * be
-    out[n : 2 * n] = -(a * w + e * al)
-    out[2 * n] = np.sum(a * be - b * al, axis=0)
-    return out
-
-
-# -- frame-coefficient algebra (orthonormal, so pairings are trivial) --------
+    return _join(b * w + e * be, -(a * w + e * al), (a * be - b * al).sum(0))
 
 
 def phi_frame(u, n: int):
     """phi in frame coefficients: (alpha, beta, w) -> (-beta, alpha, 0)."""
-    if isinstance(u, jets.Jet):
-        c = u.coeffs
-        out = np.concatenate(
-            [-c[:, n : 2 * n], c[:, :n], np.zeros_like(c[:, :1])], axis=1
-        )
-        return jets.Jet(out)
-    out = np.empty_like(u)
-    out[:n] = -u[n : 2 * n]
-    out[n : 2 * n] = u[:n]
-    out[2 * n] = 0.0
-    return out
+    return _join(-u[n : 2 * n], u[:n])
 
 
 def eta_frame(u):
     """eta of a frame-coefficient vector is its xi-coefficient."""
-    if isinstance(u, jets.Jet):
-        return u[-1]
     return u[-1]
 
 
 def metric_frame(u, v):
     """g of frame-coefficient vectors: the plain dot product over components."""
-    if isinstance(u, jets.Jet) or isinstance(v, jets.Jet):
-        return (u * v).sum(0)
-    return np.sum(u * v, axis=0)
+    return (u * v).sum(0)
 
 
 # -- curvature of the space form --------------------------------------------
@@ -356,7 +376,7 @@ def space_form_curvature(params: SpaceFormParams, p: ModelPoint, X, Y, Z) -> np.
 
 
 def space_form_curvature_frame(c: float, Xf, Yf, Zf, n: int):
-    """R(X,Y)Z on frame-coefficient arrays of shape (2n+1, ...), vectorized."""
+    """R(X,Y)Z on frame coefficients of shape (2n+1, ...), vectorized."""
     phiX, phiY, phiZ = (phi_frame(v, n) for v in (Xf, Yf, Zf))
     pairings = {
         "g_YZ": metric_frame(Yf, Zf),
@@ -376,6 +396,4 @@ def space_form_curvature_frame(c: float, Xf, Yf, Zf, n: int):
         + w["phiY"] * phiY
         + w["phiZ"] * phiZ
     )
-    xi_f = np.zeros((2 * n + 1,) + (1,) * (np.ndim(w["xi"])))
-    xi_f[2 * n] = 1.0
-    return out + w["xi"] * xi_f
+    return _join(out[:n], out[n : 2 * n], out[2 * n] + w["xi"])

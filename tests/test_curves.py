@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from contactcurves import families, jets
+from contactcurves import analysis, families, jets
 from contactcurves.curves import (
     CurveError,
     CurveSpec,
@@ -22,6 +22,7 @@ from contactcurves.curves import (
     sample_grid,
     velocity,
 )
+from contactcurves.model import from_frame
 
 
 def test_curve_spec_validation():
@@ -220,11 +221,17 @@ def test_frenet_nonconstant_order_names_t():
     assert "t=1" in str(err.value)
 
 
-def test_frenet_jet_order_exhaustion():
-    spec = make_legendre(["-2*cos(3*t)/3", "0"], ["2*sin(3*t)/3", "0"])
-    ts = sample_grid(spec, 64)
-    with pytest.raises(CurveError, match="jet_order"):
-        frenet_apparatus(spec, ts, jet_order=2)
+def test_frenet_jet_order_follows_dimension():
+    # three circles at frequencies 1, 2, 3 span all of R^7, so r = 2n+1 = 7
+    # and E_1..E_6 must all be differentiated: order-7 coordinate jets
+    spec = families.multi_exponential([1.0 / np.sqrt(3.0)] * 3, [1.0, 2.0, 3.0])
+    fr = frenet_apparatus(spec, sample_grid(spec, 64), tol=1e-6)
+    assert (fr.r, fr.m) == (7, 4)
+    scalars = frame_scalars(fr)
+    for c, delta in ((-3.0, (0.0, 1.0)), (2.5, (1.5, -0.5))):
+        direct = analysis._direct_report(fr, scalars, c, delta)
+        closed = analysis.residual_closed_form(fr, scalars, c, delta)
+        assert np.max(np.abs(direct.vector - closed.vector)) < 1e-12
 
 
 def test_last_frenet_equation_rederived():
@@ -233,13 +240,9 @@ def test_last_frenet_equation_rederived():
     spec = make_legendre(["-2*cos(3*t)/3", "0"], ["2*sin(3*t)/3", "0"])
     ts = sample_grid(spec, 512)
     fr = frenet_apparatus(spec, ts)
-    from contactcurves.curves import _from_frame_array
-
-    Er = _from_frame_array(fr.frames[-1], fr.y, fr.n)
+    Er = from_frame(fr.frames[-1], fr.y, fr.n)
     lhs = covariant_derivative_along(spec, Er, ts)
-    rhs = -fr.curvatures[-1][np.newaxis] * _from_frame_array(
-        fr.frames[-2], fr.y, fr.n
-    )
+    rhs = -fr.curvatures[-1][np.newaxis] * from_frame(fr.frames[-2], fr.y, fr.n)
     assert np.max(np.abs(lhs - rhs)) < 1e-5
 
 

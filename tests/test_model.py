@@ -13,7 +13,7 @@ oracle directly (no sign flip); that fixes the convention ambiguity.
 import numpy as np
 import pytest
 
-from contactcurves import model
+from contactcurves import jets, model
 from contactcurves.model import ModelPoint, SpaceFormParams
 
 
@@ -169,6 +169,50 @@ def test_gamma_frame_matches_table_contraction():
             for j in range(1, dim + 1):
                 brute += a[i - 1] * b[j - 1] * model.connection_frame_coeffs(n, i, j)
         assert np.allclose(model.gamma_frame(n, a, b), brute, atol=1e-12)
+
+
+def test_vectorized_frame_change_matches_pointwise():
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 3):
+        pts = rng.uniform(-2.0, 2.0, size=(2 * n + 1, 6))
+        u = rng.normal(size=(2 * n + 1, 6))
+        y = pts[n : 2 * n]
+        coeffs = model.to_frame(u, y, n)
+        back = model.from_frame(coeffs, y, n)
+        for k in range(6):
+            p = ModelPoint(n, pts[:, k])
+            assert np.allclose(coeffs[:, k], model.to_frame_coeffs(p, u[:, k]),
+                               rtol=0, atol=1e-14)
+            assert np.allclose(back[:, k], model.from_frame_coeffs(p, coeffs[:, k]),
+                               rtol=0, atol=1e-13)
+
+
+def test_frame_algebra_jets_match_arrays():
+    # one body serves both types: a jet's value is the array result, exactly
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3):
+        dim = 2 * n + 1
+        u = jets.Jet(rng.normal(size=(5, dim, 7)))
+        v = jets.Jet(rng.normal(size=(4, dim, 7)))
+        y = jets.Jet(rng.normal(size=(3, n, 7)))
+        cases = {
+            "phi_frame": (lambda a: model.phi_frame(a, n), (u,), 4),
+            "eta_frame": (model.eta_frame, (u,), 4),
+            "metric_frame": (model.metric_frame, (u, v), 3),
+            "gamma_frame": (lambda a, b: model.gamma_frame(n, a, b), (u, v), 3),
+            "to_frame": (lambda a, b: model.to_frame(a, b, n), (u, y), 2),
+            "from_frame": (lambda a, b: model.from_frame(a, b, n), (v, y), 2),
+            "space_form_curvature_frame": (
+                lambda a, b: model.space_form_curvature_frame(2.5, a, b, a, n),
+                (u, v), 3),
+        }
+        for name, (f, args, order) in cases.items():
+            got = f(*args)
+            want = f(*(a.value for a in args))
+            assert isinstance(got, jets.Jet), name
+            assert got.order == order, name
+            assert got.shape == want.shape, name
+            assert np.array_equal(got.value, want), name
 
 
 def test_metric_compatibility_of_table():
