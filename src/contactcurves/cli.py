@@ -458,17 +458,13 @@ def _add_common(sub, curve=True):
                      help="output file (default: stdout)")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="contactcurves",
-        description="Legendre curve analysis in Sasakian space forms",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
+def _add_analyze(subs):
     p = subs.add_parser("analyze", help="full pipeline on a curve, JSON report")
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
+
+def _add_verify_example(subs):
     p = subs.add_parser("verify-example",
                         help="self-check on the built-in reference curve")
     _add_common(p, curve=False)
@@ -476,6 +472,8 @@ def build_parser():
                    help="sign variant of the restoring term in equation 2")
     p.set_defaults(func=cmd_verify_example)
 
+
+def _add_scan(subs):
     p = subs.add_parser("scan", help="feasibility sweep over case parameters")
     p.add_argument("--case", choices=("I", "II", "III", "IV"), required=True)
     p.add_argument("--c-range", default="-3:-3:1", metavar="START:STOP:COUNT")
@@ -487,17 +485,50 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scan)
 
+
+def _add_flow(subs):
     p = subs.add_parser("flow", help="gradient descent on the weighted energy")
     _add_common(p)
     p.add_argument("--steps", type=int, default=25)
     p.add_argument("--rate", type=float, default=0.05)
     p.set_defaults(func=cmd_flow)
 
+
+_SUBCOMMANDS = {
+    "analyze": _add_analyze,
+    "verify-example": _add_verify_example,
+    "scan": _add_scan,
+    "flow": _add_flow,
+}
+
+
+def build_parser(command=None):
+    """The argument parser, with only command's subparser if command is one.
+
+    Each add_argument call asks for the terminal size, so a command line
+    that names its subcommand gets only that subparser.  Its usage line
+    still lists every subcommand; anything else (no argument, -h, a typo)
+    gets all four, so help and error text read the same either way.
+    """
+    parser = argparse.ArgumentParser(
+        prog="contactcurves",
+        description="Legendre curve analysis in Sasakian space forms",
+    )
+    if command in _SUBCOMMANDS:
+        subs = parser.add_subparsers(dest="command", required=True,
+                                     metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+        _SUBCOMMANDS[command](subs)
+    else:
+        subs = parser.add_subparsers(dest="command", required=True)
+        for add in _SUBCOMMANDS.values():
+            add(subs)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -9,6 +9,12 @@ Frenet frames, curvature functions) is computed on truncated Taylor jets, so
 derivatives are exact up to the jet order; no finite differencing happens
 inside this module.
 
+The model's frame depends on the y coordinates only, so the analysis path
+(speed and Legendre defect, covariant derivatives, Frenet frames) reads the
+velocity jet and the y jet and never a z value.  The z integral is
+therefore evaluated only where positions are read: :meth:`CurveSpec.point`,
+:func:`coordinate_jets` and :func:`parse_and_jet`.
+
 Tangent vectors along a curve are handled in frame coefficients, i.e. the
 components against (X_1..X_n, X_{n+1}..X_{2n}, xi), with the frame algebra
 of :mod:`contactcurves.model` applied to jets.  The covariant derivative of
@@ -138,7 +144,7 @@ class IntegralCoordinate:
     The integrand here is always sum_i y_i(s) x_i'(s), assembled from the
     profile expressions of :func:`make_legendre`.  Jets of this coordinate are
     exact in every derivative slot; only the order-zero value goes through
-    quadrature.
+    quadrature, and :meth:`_taylor_tail` gives the other slots without it.
     """
 
     def __init__(self, z0, x_exprs, y_exprs):
@@ -181,13 +187,15 @@ class IntegralCoordinate:
 
     def jet(self, ts, order):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        integrand = self._integrand_jet(ts, order - 1) if order >= 1 else None
-        coeffs = np.zeros((order + 1, ts.size))
-        coeffs[0] = self.values(ts)
-        if integrand is not None:
-            for k in range(1, order + 1):
-                coeffs[k] = integrand.coeffs[k - 1] / k
-        return jets.Jet(coeffs)
+        tail = self._taylor_tail(ts, order)
+        return jets.Jet(np.concatenate((self.values(ts)[np.newaxis], tail)))
+
+    def _taylor_tail(self, ts, order):
+        """Taylor coefficients 1..order at ts: integrand coefficient k-1 over k."""
+        if order < 1:
+            return np.zeros((0, ts.size))
+        k = np.arange(1, order + 1, dtype=float)[:, np.newaxis]
+        return self._integrand_jet(ts, order - 1).coeffs / k
 
     def _integrand_jet(self, ts, order):
         tj = jets.variable(ts, order + 1)
@@ -289,17 +297,40 @@ def sample_grid(spec, m):
 # jet evaluation
 
 
+def _source_jet(c, ts, t):
+    """Jet of one coordinate source; t is the variable jet over ts."""
+    return c.jet(ts, t.order) if isinstance(c, IntegralCoordinate) else c(t)
+
+
 def coordinate_jets(spec, ts, order=6):
     """Jet of all coordinates along the curve; value shape (2n+1, N)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    parts = []
-    for c in spec.coords:
-        if isinstance(c, IntegralCoordinate):
-            parts.append(c.jet(ts, order))
-        else:
-            j = c(jets.variable(ts, order))
-            parts.append(j)
-    return jets.stack(parts, axis=0)
+    t = jets.variable(ts, order)
+    return jets.stack([_source_jet(c, ts, t) for c in spec.coords], axis=0)
+
+
+def _velocity_jets(spec, ts, order):
+    """Velocity jet (order - 1, shape (2n+1, N)) and y jet (order, shape (n, N)).
+
+    The velocity equals coordinate_jets(spec, ts, order).derivative() to the
+    bit, but a derivative reads only the coefficients above order zero, so
+    an integral coordinate outside the y slots gives them from its
+    integrand and is never integrated.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    n = spec.n
+    t = jets.variable(ts, order)
+    tails, ys = [], []
+    for i, c in enumerate(spec.coords):
+        if isinstance(c, IntegralCoordinate) and not n <= i < 2 * n:
+            tails.append(c._taylor_tail(ts, order))
+            continue
+        j = _source_jet(c, ts, t)
+        tails.append(j.coeffs[1:])
+        if n <= i < 2 * n:
+            ys.append(j)
+    k = np.arange(1, order + 1, dtype=float)[:, np.newaxis, np.newaxis]
+    return jets.Jet(np.stack(tails, axis=1) * k), jets.stack(ys, axis=0)
 
 
 @dataclass
@@ -323,8 +354,7 @@ def velocity(spec, t, order=1):
     """Coordinate components of the velocity, shape like spec.point(t)."""
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
-    j = coordinate_jets(spec, t, order=max(1, order))
-    v = j.deriv(1)
+    v = _velocity_jets(spec, t, max(1, order))[0].value
     return v[:, 0] if scalar else v
 
 
@@ -340,12 +370,9 @@ def _nabla_along(n, t_frame, v_frame):
 
 
 def _curve_frames(spec, ts, order):
-    """Shared setup: coordinate jets, y jet, and the velocity coefficients."""
-    cj = coordinate_jets(spec, ts, order=order)
-    n = spec.n
-    y = cj[slice(n, 2 * n)]
-    T = to_frame(cj.derivative(), y, n)
-    return cj, y, T
+    """Shared setup: velocity jet, y jet, and the velocity's frame coefficients."""
+    v, y = _velocity_jets(spec, ts, order)
+    return v, y, to_frame(v, y, spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +386,10 @@ def make_legendre(x_exprs, y_exprs, z0=0.0, period=2.0 * np.pi, closed=True):
     velocity: z' = sum_i y_i x_i'.  Values of z are obtained by Gauss-Legendre
     quadrature from z(0) = z0: one batched 10/20-point pass over all grid
     gaps, then adaptive bisection of only the gaps where the two rules
-    disagree.  All derivative slots of the z jet come from the integrand
+    disagree.  The quadrature runs only where positions are read
+    (CurveSpec.point, coordinate_jets, parse_and_jet, and so
+    DiscreteCurve.from_spec); the Frenet and residual analysis needs no z
+    value.  All derivative slots of the z jet come from the integrand
     itself, so the Legendre defect of the result is limited only by
     roundoff.
     """
@@ -394,14 +424,13 @@ class ArclengthReport:
         return self.max_deviation < 1e-6
 
 
-def _arclength_report(ts, cj, n):
-    """Speed and Legendre defect from a coordinate jet of order >= 1.
+def _arclength_report(ts, v, y, n):
+    """Speed and Legendre defect from velocity components v and y rows y.
 
     The contact-metric speed is sqrt(eta(gamma')^2 + horizontal part), so a
     Legendre curve's speed is its scaled horizontal speed.
     """
-    v = cj.deriv(1)
-    defect = eta_frame(to_frame(v, cj.value[n:2 * n], n))
+    defect = eta_frame(to_frame(v, y, n))
     horiz = 0.25 * np.sum(v[:2 * n] ** 2, axis=0)
     speed = np.sqrt(defect ** 2 + horiz)
     return ArclengthReport(
@@ -416,7 +445,8 @@ def _arclength_report(ts, cj, n):
 def arclength_check(spec, ts):
     """Speed and Legendre defect along a grid, from order-1 jets."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return _arclength_report(ts, coordinate_jets(spec, ts, order=1), spec.n)
+    v, y = _velocity_jets(spec, ts, 1)
+    return _arclength_report(ts, v.value, y.value, spec.n)
 
 
 def reparametrize_arclength(spec, ts, refine=8):
@@ -464,7 +494,7 @@ def covariant_derivative_along(spec, field, ts):
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = spec.n
-    cj, y, T = _curve_frames(spec, ts, order=2)
+    _, y, T = _curve_frames(spec, ts, order=2)
     yv = y.value
     if callable(field):
         try:
@@ -547,7 +577,6 @@ class FrenetData:
     r: int
     frames: np.ndarray        # (r, 2n+1, N)
     curvatures: np.ndarray    # (r-1, N)
-    points: np.ndarray        # (2n+1, N) curve coordinates
     y: np.ndarray             # (n, N) the y coordinates, for conversions
     tol: float
     arclength: ArclengthReport | None = None   # None for synthetic frames
@@ -603,8 +632,8 @@ def frenet_apparatus(spec, ts, tol=1e-7, unit_tol=1e-6):
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = spec.n
     dim = spec.dim
-    cj, y, T = _curve_frames(spec, ts, order=max(6, dim))
-    arclength = _arclength_report(ts, cj, n)
+    v, y, T = _curve_frames(spec, ts, order=max(6, dim))
+    arclength = _arclength_report(ts, v.value, y.value, n)
     if arclength.max_defect > unit_tol:
         raise CurveError(
             f"curve is not Legendre: max |eta(T)| = "
@@ -653,7 +682,6 @@ def frenet_apparatus(spec, ts, tol=1e-7, unit_tol=1e-6):
         r=r,
         frames=frames,
         curvatures=curvatures,
-        points=cj.value,
         y=y.value,
         tol=tol,
         arclength=arclength,

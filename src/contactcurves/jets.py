@@ -6,6 +6,11 @@ propagate coefficients through the classic convolution recurrences, so every
 derivative read off a jet is exact up to rounding; there is no step size to
 tune anywhere.
 
+The product and the sin/cos/exp recurrences form each output order with one
+contraction over the order axis (:func:`_convolve`) instead of a Python
+loop over its terms.  The contraction adds the terms in the same order as
+the loop did, so the coefficients are the same to the last bit.
+
 Coefficient arrays may carry trailing value axes (one per grid sample, or per
 vector component), which makes whole-grid curve evaluation a single
 vectorized pass.
@@ -131,10 +136,9 @@ class Jet:
             a = self.coeffs
             b = other.coeffs
             shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-            out = np.zeros((K + 1,) + shape)
+            out = np.empty((K + 1,) + shape)
             for k in range(K + 1):
-                for j in range(k + 1):
-                    out[k] += a[j] * b[k - j]
+                out[k] = _convolve(a[: k + 1], b[k::-1])
             return Jet(out)
         return Jet(self.coeffs * np.asarray(other, dtype=float))
 
@@ -208,6 +212,21 @@ def concat(jets, axis: int = 0) -> Jet:
 # -- elementary functions ----------------------------------------------------
 
 
+def _convolve(a, b_reversed):
+    """sum_j a[j] * b_reversed[j] over the order axis, added left to right.
+
+    Adding 0.0 turns a sum of negative zeros into +0.0, as the loop that
+    accumulated into zeros() gave.
+    """
+    return np.einsum("j...,j...->...", a, b_reversed) + 0.0
+
+
+def _scaled_increments(u):
+    """The coefficients j*u_j, j = 1..order, that the sin/cos/exp recurrences read."""
+    j = np.arange(1, u.order + 1, dtype=float)
+    return u.coeffs[1:] * j.reshape((-1,) + (1,) * (u.coeffs.ndim - 1))
+
+
 def _divide(a: Jet, b: Jet) -> Jet:
     K = min(a.order, b.order)
     b0 = b.coeffs[0]
@@ -230,14 +249,10 @@ def _sin_cos(u: Jet):
     c = np.zeros_like(u.coeffs)
     s[0] = np.sin(u.coeffs[0])
     c[0] = np.cos(u.coeffs[0])
+    du = _scaled_increments(u)
     for k in range(1, K + 1):
-        acc_s = np.zeros(u.shape)
-        acc_c = np.zeros(u.shape)
-        for j in range(1, k + 1):
-            acc_s += j * u.coeffs[j] * c[k - j]
-            acc_c += j * u.coeffs[j] * s[k - j]
-        s[k] = acc_s / k
-        c[k] = -acc_c / k
+        s[k] = _convolve(du[:k], c[k - 1::-1]) / k
+        c[k] = -_convolve(du[:k], s[k - 1::-1]) / k
     return Jet(s), Jet(c)
 
 
@@ -259,11 +274,9 @@ def exp(x):
     K = x.order
     e = np.zeros_like(x.coeffs)
     e[0] = np.exp(x.coeffs[0])
+    dx = _scaled_increments(x)
     for k in range(1, K + 1):
-        acc = np.zeros(x.shape)
-        for j in range(1, k + 1):
-            acc += j * x.coeffs[j] * e[k - j]
-        e[k] = acc / k
+        e[k] = _convolve(dx[:k], e[k - 1::-1]) / k
     return Jet(e)
 
 

@@ -32,7 +32,6 @@ def synthetic_frenet(curvature_rows, frame_vectors, n=2, N=48):
     must fall back to grid differencing, which is exact for constants.
     """
     ts = np.linspace(0.0, 1.0, N)
-    dim = 2 * n + 1
     rows = []
     for v in frame_vectors:
         v = np.asarray(v, dtype=float)
@@ -47,7 +46,6 @@ def synthetic_frenet(curvature_rows, frame_vectors, n=2, N=48):
         r=len(rows),
         frames=np.stack(rows),
         curvatures=np.stack(ks) if ks else np.zeros((0, N)),
-        points=np.zeros((dim, N)),
         y=np.zeros((n, N)),
         tol=1e-7,
     )

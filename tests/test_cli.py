@@ -267,18 +267,56 @@ def _count_calls(monkeypatch, name, modules):
 def test_one_frenet_build_per_command(monkeypatch, capsys, argv,
                                       frenet_calls, jet_calls):
     # one curve evaluation, one Frenet build and one classification; the
-    # closed form runs once in the theorem check and once in the solver
+    # closed form runs once in the theorem check and once in the solver.
+    # The analysis reads velocity and y jets only, never positions.
     modules = (curves, analysis, cli)
     frenet = _count_calls(monkeypatch, "frenet_apparatus", modules)
-    jet = _count_calls(monkeypatch, "coordinate_jets", modules)
+    jet = _count_calls(monkeypatch, "_velocity_jets", modules)
+    positions = _count_calls(monkeypatch, "coordinate_jets", modules)
     cls = _count_calls(monkeypatch, "classify", (analysis, cli))
     closed = _count_calls(monkeypatch, "residual_closed_form", (analysis, cli))
     rc, _, err = run(argv, capsys)
     assert rc == 0, err
     assert frenet["calls"] == frenet_calls
     assert jet["calls"] == jet_calls
+    assert positions["calls"] == 0
     assert cls["calls"] == 1
     assert closed["calls"] == 2
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        args = parser.parse_args(argv)
+        outcome = (0, args.command, args.func)
+    except SystemExit as exc:
+        outcome = (exc.code, None, None)
+    captured = capsys.readouterr()
+    return outcome + (captured.out, captured.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "-h"], ["verify-example", "--help"], ["scan", "-h"],
+    ["flow", "-h"], ["analyze", "extra"], ["analyze", "--bogus"],
+    ["analyze", "--grid"], ["flow", "--steps", "x"], ["scan"],
+    ["scan", "--case", "V"], ["verify-example", "--eq2-sign", "zz"],
+    ["analyze", "analyze"], ["analyze", "--grid", "64"], ["scan", "--case", "I"],
+])
+def test_single_subparser_reads_like_the_full_parser(argv, capsys):
+    # a command line that names its subcommand builds only that subparser;
+    # help, usage and error text must not show the difference
+    lazy = cli.build_parser(argv[0])
+    assert list(lazy._subparsers._group_actions[0].choices) == [argv[0]]
+    assert (_parse_outcome(lazy, argv, capsys)
+            == _parse_outcome(cli.build_parser(), argv, capsys))
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["analyz"], ["--", "analyze"]])
+def test_full_parser_without_a_command(argv, capsys):
+    parser = cli.build_parser(argv[0] if argv else None)
+    assert len(parser._subparsers._group_actions[0].choices) == 4
+    rc, _, _, out, err = _parse_outcome(parser, argv, capsys)
+    assert rc in (0, 2)
+    assert "{analyze,verify-example,scan,flow}" in out + err
 
 
 def test_config_validation(capsys):

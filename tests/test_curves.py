@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from contactcurves import analysis, families, jets
+from contactcurves import analysis, curves, families, jets
 from contactcurves.curves import (
     CurveError,
     CurveSpec,
@@ -22,6 +22,8 @@ from contactcurves.curves import (
     sample_grid,
     velocity,
 )
+from contactcurves.discrete import DiscreteCurve
+from contactcurves.expressions import parse
 from contactcurves.model import from_frame
 
 
@@ -395,3 +397,59 @@ def test_divergent_z_fails_fast(monkeypatch):
     with pytest.raises(QuadratureError, match="did not converge"):
         spec.point(np.array([2.0]))
     assert calls[0] < 1000
+
+
+# ---------------------------------------------------------------------------
+# the analysis path reads velocity and y jets, never a z value
+
+
+def _count_z_quadratures(monkeypatch):
+    calls = [0]
+    original = IntegralCoordinate.values
+
+    def counted(self, ts):
+        calls[0] += 1
+        return original(self, ts)
+
+    monkeypatch.setattr(IntegralCoordinate, "values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_analysis_integrates_no_z(r, monkeypatch):
+    spec, _ = families.random_legendre_curve(np.random.default_rng(40 + r), r)
+    ts = sample_grid(spec, 128)
+    calls = _count_z_quadratures(monkeypatch)
+    arclength_check(spec, ts)
+    legendre_defect(spec, ts)
+    velocity(spec, ts)
+    frenet = frenet_apparatus(spec, ts, unit_tol=1e-5)
+    scalars = frame_scalars(frenet)
+    analysis.residual_direct(spec, ts)
+    analysis.theorem31_check(frenet, scalars, -3.0, (0.0, 1.0))
+    covariant_derivative_along(spec, np.ones((spec.dim, ts.size)), ts)
+    assert calls[0] == 0
+    spec.point(ts)
+    assert calls[0] == 1
+    DiscreteCurve.from_spec(spec, 64)
+    assert calls[0] == 2
+    parse_and_jet(spec, 0.5)
+    assert calls[0] == 3
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_velocity_jets_equal_coordinate_jet_derivative(order):
+    y_integral = IntegralCoordinate(0.5, [parse("sin(t)")], [parse("t^2")])
+    specs = [
+        families.random_legendre_curve(np.random.default_rng(order), 4)[0],
+        families.rational_turn(),
+        CurveSpec(1, ["sin(t)", y_integral, "cos(3*t)"]),
+    ]
+    for spec in specs:
+        ts = np.linspace(-2.0, 2.0, 97)
+        v, y = curves._velocity_jets(spec, ts, order)
+        cj = coordinate_jets(spec, ts, order)
+        for got, want in ((v.coeffs, cj.derivative().coeffs),
+                          (y.coeffs, cj.coeffs[:, spec.n:2 * spec.n])):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -176,3 +176,98 @@ def test_truncation_on_mixed_orders():
     c = a * b
     assert c.order == 2
     assert np.isclose(c.deriv(2), 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the per-order contractions against the term-by-term loops they replaced
+
+
+def _loop_mul(a, b):
+    K = min(a.shape[0], b.shape[0]) - 1
+    out = np.zeros((K + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    for k in range(K + 1):
+        for j in range(k + 1):
+            out[k] += a[j] * b[k - j]
+    return out
+
+
+def _loop_sin_cos(u):
+    K = u.shape[0] - 1
+    s = np.zeros_like(u)
+    c = np.zeros_like(u)
+    s[0] = np.sin(u[0])
+    c[0] = np.cos(u[0])
+    for k in range(1, K + 1):
+        acc_s = np.zeros(u.shape[1:])
+        acc_c = np.zeros(u.shape[1:])
+        for j in range(1, k + 1):
+            acc_s += j * u[j] * c[k - j]
+            acc_c += j * u[j] * s[k - j]
+        s[k] = acc_s / k
+        c[k] = -acc_c / k
+    return s, c
+
+
+def _loop_exp(u):
+    K = u.shape[0] - 1
+    e = np.zeros_like(u)
+    e[0] = np.exp(u[0])
+    for k in range(1, K + 1):
+        acc = np.zeros(u.shape[1:])
+        for j in range(1, k + 1):
+            acc += j * u[j] * e[k - j]
+        e[k] = acc / k
+    return e
+
+
+def _signed_coeffs(rng, order, shape):
+    """Random coefficients with exact zeros of both signs and negated blocks."""
+    c = rng.standard_normal((order + 1,) + shape)
+    c[rng.random(c.shape) < 0.2] = 0.0
+    c[rng.random(c.shape) < 0.1] = -0.0
+    if order >= 2:
+        c[1] = -c[2]
+    return c
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("shape", [(), (64,), (3, 64)])
+@pytest.mark.parametrize("order", range(9))
+def test_kernels_match_loops_bitwise(order, shape):
+    rng = np.random.default_rng(1000 + 10 * order + len(shape))
+    a = _signed_coeffs(rng, order, shape)
+    b = _signed_coeffs(rng, order, shape)
+    _assert_bitwise((jets.Jet(a) * jets.Jet(b)).coeffs, _loop_mul(a, b))
+    # a jet times its own negation cancels exactly in some slots
+    _assert_bitwise((jets.Jet(a) * jets.Jet(-a)).coeffs, _loop_mul(a, -a))
+    s, c = _loop_sin_cos(a)
+    _assert_bitwise(jets.sin(jets.Jet(a)).coeffs, s)
+    _assert_bitwise(jets.cos(jets.Jet(a)).coeffs, c)
+    _assert_bitwise(jets.exp(jets.Jet(a)).coeffs, _loop_exp(a))
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_product_kernel_mixed_ranks_and_orders(order):
+    rng = np.random.default_rng(2000 + order)
+    a = _signed_coeffs(rng, order, (64,))
+    b = _signed_coeffs(rng, order, (3, 64))
+    _assert_bitwise((jets.Jet(a) * jets.Jet(b)).coeffs, _loop_mul(a, b))
+    _assert_bitwise((jets.Jet(b) * jets.Jet(a)).coeffs, _loop_mul(b, a))
+    longer = _signed_coeffs(rng, order + 2, (3, 64))
+    _assert_bitwise((jets.Jet(a) * jets.Jet(longer)).coeffs, _loop_mul(a, longer))
+    _assert_bitwise((jets.Jet(longer) * jets.Jet(a)).coeffs, _loop_mul(longer, a))
+    scalar = _signed_coeffs(rng, order + 1, ())
+    _assert_bitwise((jets.Jet(scalar) * jets.Jet(b)).coeffs, _loop_mul(scalar, b))
+
+
+def test_product_kernel_sums_of_negative_zeros_are_positive():
+    a = np.full((5, 4), -0.0)
+    b = np.full((5, 4), 1.0)
+    got = (jets.Jet(a) * jets.Jet(b)).coeffs
+    _assert_bitwise(got, _loop_mul(a, b))
+    assert not np.signbit(got).any()
