@@ -494,14 +494,6 @@ def _add_flow(subs):
     p.set_defaults(func=cmd_flow)
 
 
-_SUBCOMMANDS = {
-    "analyze": _add_analyze,
-    "verify-example": _add_verify_example,
-    "scan": _add_scan,
-    "flow": _add_flow,
-}
-
-
 def build_parser(command=None):
     """The argument parser, with only command's subparser if command is one.
 
@@ -510,17 +502,23 @@ def build_parser(command=None):
     still lists every subcommand; anything else (no argument, -h, a typo)
     gets all four, so help and error text read the same either way.
     """
+    adders = {
+        "analyze": _add_analyze,
+        "verify-example": _add_verify_example,
+        "scan": _add_scan,
+        "flow": _add_flow,
+    }
     parser = argparse.ArgumentParser(
         prog="contactcurves",
         description="Legendre curve analysis in Sasakian space forms",
     )
-    if command in _SUBCOMMANDS:
+    if command in adders:
         subs = parser.add_subparsers(dest="command", required=True,
-                                     metavar="{" + ",".join(_SUBCOMMANDS) + "}")
-        _SUBCOMMANDS[command](subs)
+                                     metavar="{" + ",".join(adders) + "}")
+        adders[command](subs)
     else:
         subs = parser.add_subparsers(dest="command", required=True)
-        for add in _SUBCOMMANDS.values():
+        for add in adders.values():
             add(subs)
     return parser
 
