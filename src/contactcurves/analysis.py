@@ -61,6 +61,7 @@ __all__ = [
     "residual_closed_form",
     "theorem31_check",
     "classify",
+    "case_formula",
     "solve_delta",
     "independence_check",
     "case4_ode_residuals",
@@ -90,6 +91,13 @@ def _direct_jets(n, T, depth=3):
     return out
 
 
+def _bitension_parts(n, T, c):
+    """Values of tau = nabla_T T and tau2 = nabla_T^3 T - R(T, tau)T."""
+    T, tau, _, tau_3 = _direct_jets(n, T)
+    curv = space_form_curvature_frame(c, T.value, tau.value, T.value, n)
+    return tau.value, tau_3.value - curv
+
+
 def tension(spec, ts):
     """nabla_T T along the curve, in frame components, shape (2n+1, N)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -100,9 +108,7 @@ def tension(spec, ts):
 def bitension(spec, ts, c=-3.0):
     """nabla_T^3 T - R(T, nabla_T T)T in frame components, shape (2n+1, N)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    T, tau, _, tau_3 = _direct_jets(spec.n, _curve_frames(spec, ts, 6)[2])
-    curv = space_form_curvature_frame(c, T.value, tau.value, T.value, spec.n)
-    return tau_3.value - curv
+    return _bitension_parts(spec.n, _curve_frames(spec, ts, 6)[2], c)[1]
 
 
 def _span_leakage(vec, frames_m):
@@ -189,10 +195,8 @@ def _direct_report(frenet, scalars, c, delta):
     independent.
     """
     d1, d2 = float(delta[0]), float(delta[1])
-    n = frenet.n
-    T, tau, _, tau_3 = _direct_jets(n, frenet.frame_jets[0])
-    curv = space_form_curvature_frame(c, T.value, tau.value, T.value, n)
-    vector = d2 * (tau_3.value - curv) - d1 * tau.value
+    tau, tau2 = _bitension_parts(frenet.n, frenet.frame_jets[0], c)
+    vector = d2 * tau2 - d1 * tau
     eqs = np.stack([
         metric_frame(vector, frenet.frames[i])
         for i in range(frenet.m)
@@ -370,6 +374,21 @@ def _is_const(arr, tol):
     return float(np.ptp(arr)) <= tol if arr.size else True
 
 
+def _slant_constants(frenet, scalars, c):
+    """Case-IV (alpha0, w0, w0 variance) for classify and the ODE check.
+
+    alpha0 is the angle of (<f>, <g(phi T, E4)>); w0 and its variance are
+    the mean and variance of k2^2 + 3((c-1)/4) f^2.  Each caller tests the
+    constancy of f itself.
+    """
+    f = scalars.f
+    alpha0 = math.atan2(float(np.mean(scalars.g_phiT_E4)), float(np.mean(f)))
+    w_samples = f ** 2 * (3.0 * (c - 1.0) / 4.0)
+    if frenet.r >= 3:
+        w_samples = frenet.curvatures[1] ** 2 + w_samples
+    return alpha0, float(np.mean(w_samples)), float(np.var(w_samples))
+
+
 def classify(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
     """Assign geodesic/circle/helix/general and the case tag I..IV."""
     diagnostics = []
@@ -399,20 +418,13 @@ def classify(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
     else:
         case = "IV"
         if _is_const(f, tol):
+            alpha0, w0, w0_var = _slant_constants(frenet, scalars, c)
             g4 = float(np.mean(scalars.g_phiT_E4))
-            alpha0 = math.atan2(g4, f_mean)
             sin_check = abs(math.sin(alpha0) - g4)
             if sin_check > 10 * tol:
                 diagnostics.append(
                     f"g(phi T, E4) deviates from sin(alpha0) by {sin_check:.2e}"
                 )
-            w_samples = (
-                scalars.f ** 2 * (3.0 * (c - 1.0) / 4.0)
-            )
-            if frenet.r >= 3:
-                w_samples = frenet.curvatures[1] ** 2 + w_samples
-            w0 = float(np.mean(w_samples))
-            w0_var = float(np.var(w_samples))
         else:
             klass = "general"
             diagnostics.append(
@@ -431,7 +443,30 @@ def classify(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
 
 
 # ---------------------------------------------------------------------------
-# delta solver
+# case table and delta solver
+
+
+def case_formula(case, c, k1, k2, alpha0=0.0):
+    """(rho, constraint, threshold) of a constant-curvature curve in a case.
+
+    rho = d1/d2; constraint is rho in case I, 3(c-1) sin(2 alpha0) (must be
+    negative) in case IV, else None; threshold says a nonnegative rho admits
+    only geodesics (c <= -3 in cases II and IV, c < 1 in III, which reads
+    k1 only).  The scan and solve_delta both read this table.
+    """
+    if case == "I":
+        rho = 1.0 - (k1 ** 2 + k2 ** 2)
+        return rho, rho, False
+    if case == "II":
+        return (c + 3.0) / 4.0 - (k1 ** 2 + k2 ** 2), None, c <= -3.0
+    if case == "III":
+        return c - 1.0 - k1 ** 2, None, c < 1.0
+    if case == "IV":
+        constraint = 3.0 * (c - 1.0) * np.sin(2.0 * alpha0)
+        rho = ((c + 3.0) / 4.0 + 3.0 * (c - 1.0) / 4.0 * np.cos(alpha0) ** 2
+               - (k1 ** 2 + k2 ** 2))
+        return float(rho), float(constraint), c <= -3.0
+    raise AnalysisError(f"case must be I, II, III or IV, got {case!r}")
 
 
 @dataclass
@@ -473,9 +508,8 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
         )
 
     k1 = frenet.curvatures[0]
-    K1sq = float(np.mean(k1)) ** 2
-    K2sq = float(np.mean(frenet.curvatures[1])) ** 2 if frenet.r >= 3 else 0.0
-    S = K1sq + K2sq
+    K1 = float(np.mean(k1))
+    K2 = float(np.mean(frenet.curvatures[1])) if frenet.r >= 3 else 0.0
 
     # pointwise ratio from the pure-bending residual (d = (0, 1))
     pure = residual_closed_form(frenet, scalars, c, (0.0, 1.0))
@@ -487,7 +521,6 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
     rho_spread = float(np.ptp(rho_t))
 
     notes = []
-    rho = None
     k2_dev = None
     feasible = parallel_defect <= max(tol, 1e-6 * float(np.max(np.abs(k1))))
     if rho_spread > tol:
@@ -498,19 +531,19 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
         feasible = False
 
     if cls.case == "I" and cls.klass in ("circle", "helix"):
-        rho = 1.0 - S
+        rho = case_formula("I", c, K1, K2)[0]
         notes.append("1 - rho = k1^2 + k2^2 >= 0 holds by construction")
         if abs(rho) < 1e-12:
             notes.append("rho = 0: the curve is critical for bending alone")
     elif cls.case == "II" and cls.klass in ("circle", "helix"):
-        rho = (c + 3.0) / 4.0 - S
-        if c <= -3.0 and rho >= 0.0:
+        rho, _, threshold = case_formula("II", c, K1, K2)
+        if threshold and rho >= 0.0:
             notes.append("nonnegative rho with c <= -3 admits only geodesics")
             feasible = False
-        elif c <= -3.0:
+        elif threshold:
             notes.append("c <= -3 forces rho < 0 for non-geodesics")
     elif cls.case == "III" and cls.klass in ("circle", "helix"):
-        rho = (c - 1.0) - K1sq
+        rho, _, threshold = case_formula("III", c, K1, K2)
         k2_dev = (
             float(np.max(np.abs(frenet.curvatures[1] - 1.0)))
             if frenet.r >= 3 else 1.0
@@ -520,15 +553,14 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
                 f"second curvature deviates from 1 by {k2_dev:.3e}, in "
                 f"tension with this case's constraint"
             )
-        if c < 1.0 and rho >= 0.0:
+        if threshold and rho >= 0.0:
             notes.append("nonnegative rho with c < 1 admits only geodesics")
             feasible = False
     elif cls.case == "IV" and cls.alpha0 is not None and all(
         _is_const(frenet.curvatures[i], tol) for i in range(min(frenet.r - 1, 3))
     ):
-        ca = math.cos(cls.alpha0)
-        rho = (c + 3.0) / 4.0 + 3.0 * (c - 1.0) / 4.0 * ca * ca - S
-        if 3.0 * (c - 1.0) * math.sin(2.0 * cls.alpha0) >= 0.0:
+        rho, constraint, _ = case_formula("IV", c, K1, K2, cls.alpha0)
+        if constraint >= 0.0:
             notes.append(
                 "sign constraint 3(c-1) sin(2 alpha0) < 0 fails: no "
                 "admissible pair"
@@ -673,18 +705,13 @@ def case4_ode_residuals(frenet, scalars, c=-3.0, delta=(0.0, 1.0)):
     )
     k2_ode = k2p + 3.0 * q * f * scalars.g_phiT_E3
     k2k3_ode = k2 * k3 + 3.0 * q * f * scalars.g_phiT_E4
-    w_samples = k2 ** 2 + 3.0 * q * f ** 2
-    alpha0 = None
-    if float(np.ptp(f)) <= CONSTANCY_TOL:
-        alpha0 = math.atan2(
-            float(np.mean(scalars.g_phiT_E4)), float(np.mean(f))
-        )
+    alpha0, w0, w0_var = _slant_constants(frenet, scalars, c)
     return Case4Report(
         k1_prime=k1p,
         sum_rule=sum_rule,
         k2_ode=k2_ode,
         k2k3_ode=k2k3_ode,
-        w0=float(np.mean(w_samples)),
-        w0_variance=float(np.var(w_samples)),
-        alpha0=alpha0,
+        w0=w0,
+        w0_variance=w0_var,
+        alpha0=alpha0 if float(np.ptp(f)) <= CONSTANCY_TOL else None,
     )

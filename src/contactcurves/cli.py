@@ -341,41 +341,26 @@ def cmd_verify_example(args):
 def _scan_cell(case, c, k1, k2, alpha0):
     """One scan row: required ratio and feasibility for a parameter cell.
 
-    Returns (case, c, k1, k2, alpha0, rho, constraint, feasible, verdict).
-    The constraint column carries the quantity whose sign the case
-    restricts: rho itself for case I, 3(c-1) sin(2 alpha0) for case IV.
+    Returns (case, c, k1, k2, alpha0, rho, constraint, feasible, verdict),
+    with rho, constraint and threshold read from analysis.case_formula.
     """
     if k1 == 0.0:
         # no first curvature means no Frenet frame past T: a geodesic
         return (case, c, k1, k2, None, None, None, True, GEODESIC_VERDICT)
 
-    threshold = (
-        case in ("II", "IV") and c <= -3.0
-    ) or (case == "III" and c < 1.0)
+    rho, constraint, threshold = analysis.case_formula(case, c, k1, k2, alpha0)
     verdict = THRESHOLD_VERDICT if threshold else ""
-
+    feasible = True
     if case == "I":
-        rho = 1.0 - (k1 ** 2 + k2 ** 2)
         feasible = abs(rho) > 1e-12
         if not feasible:
             verdict = EXCLUDED_VERDICT
-        return (case, c, k1, k2, None, rho, rho, feasible, verdict)
-    if case == "II":
-        rho = (c + 3.0) / 4.0 - (k1 ** 2 + k2 ** 2)
-        return (case, c, k1, k2, None, rho, None, True, verdict)
-    if case == "III":
-        rho = c - 1.0 - k1 ** 2
-        return (case, c, k1, 1.0, None, rho, None, True, verdict)
-    # case IV
-    constraint = 3.0 * (c - 1.0) * np.sin(2.0 * alpha0)
-    rho = (
-        (c + 3.0) / 4.0
-        + 3.0 * (c - 1.0) / 4.0 * np.cos(alpha0) ** 2
-        - (k1 ** 2 + k2 ** 2)
-    )
-    feasible = constraint < 0.0
-    return (case, c, float(k1), float(k2), float(alpha0),
-            float(rho), float(constraint), bool(feasible), verdict)
+    elif case == "III":
+        k2 = 1.0                  # forced by the case equations
+    elif case == "IV":
+        feasible = constraint < 0.0
+    return (case, c, k1, k2, alpha0 if case == "IV" else None, rho,
+            constraint, feasible, verdict)
 
 
 def cmd_scan(args):

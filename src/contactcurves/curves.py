@@ -486,29 +486,27 @@ def reparametrize_arclength(spec, ts, refine=8):
 def covariant_derivative_along(spec, field, ts):
     """Covariant derivative of a tangent field along the curve.
 
-    field may be a callable t -> coordinate components (2n+1,), evaluated
-    through jets so the derivative is exact; or an ndarray of sampled
+    field may be a jet-aware callable t -> coordinate components (2n+1,),
+    called once on the parameter jet so the derivative is exact (a callable
+    that returns no Jet raises CurveError); or an ndarray of sampled
     components with shape (2n+1, len(ts)), differentiated with five-point
-    stencils (one-sided at the ends).  Returns coordinate components with
-    shape (2n+1, len(ts)).
+    stencils (one-sided at the ends, accurate to about 1e-7).  Returns
+    coordinate components with shape (2n+1, len(ts)).
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = spec.n
     _, y, T = _curve_frames(spec, ts, order=2)
     yv = y.value
     if callable(field):
-        try:
-            vals = field(jets.variable(ts, 1))
-        except Exception:
-            vals = None
-        if isinstance(vals, jets.Jet):
-            vf = to_frame(vals, y, n)
-            dT = _nabla_along(n, T.truncate(vf.order), vf)
-            return from_frame(dT.value, yv, n)
-        # not jet-aware; fall back to pointwise samples and stencils
-        field = np.stack(
-            [np.asarray(field(t), dtype=float) for t in ts], axis=1
-        )
+        vals = field(jets.variable(ts, 1))
+        if not isinstance(vals, jets.Jet):
+            raise CurveError(
+                f"field callable returned {type(vals).__name__}, not a Jet; "
+                f"pass its sampled components, shape (2n+1, len(ts)), instead"
+            )
+        vf = to_frame(vals, y, n)
+        dT = _nabla_along(n, T.truncate(vf.order), vf)
+        return from_frame(dT.value, yv, n)
     field = np.asarray(field, dtype=float)
     if field.shape != (spec.dim, ts.size):
         raise CurveError(

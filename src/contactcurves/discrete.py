@@ -240,13 +240,11 @@ def discrete_residual(curve: DiscreteCurve, delta, c=-3.0):
     d1, d2 = float(delta[0]), float(delta[1])
     u = curve.chord_frames()
     tau, T = _vertex_tension(curve, u)
-    if curve.closed:
-        tau2 = _covariant_difference(curve, tau, u)
-        curv = space_form_curvature_frame(c, T, tau, T, curve.n)
-        return d2 * (tau2 - curv) - d1 * tau
     tau2 = _covariant_difference(curve, tau, u)
-    curv = space_form_curvature_frame(c, T[:, 1:-1], tau[:, 1:-1], T[:, 1:-1], curve.n)
-    return d2 * (tau2 - curv) - d1 * tau[:, 1:-1]
+    if not curve.closed:
+        tau, T = tau[:, 1:-1], T[:, 1:-1]
+    curv = space_form_curvature_frame(c, T, tau, T, curve.n)
+    return d2 * (tau2 - curv) - d1 * tau
 
 
 def max_residual_norm(curve: DiscreteCurve, delta, c=-3.0):

@@ -201,14 +201,6 @@ def stack(jets, axis: int = 0) -> Jet:
     return Jet(np.stack([j.coeffs[: K + 1] for j in jets], axis=axis))
 
 
-def concat(jets, axis: int = 0) -> Jet:
-    """Concatenate jets along an existing value axis."""
-    K = min(j.order for j in jets)
-    if axis >= 0:
-        axis += 1
-    return Jet(np.concatenate([j.coeffs[: K + 1] for j in jets], axis=axis))
-
-
 # -- elementary functions ----------------------------------------------------
 
 

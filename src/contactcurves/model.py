@@ -108,8 +108,6 @@ class SpaceFormParams:
 
     c: float
 
-    CONCRETE_C = -3.0
-
 
 def _check_vec(p: ModelPoint, u):
     u = np.asarray(u, dtype=float)

@@ -7,12 +7,14 @@ scalar constants a case prescribes.  Nothing is copied from the code under
 test.
 """
 
+import contextlib
 import dataclasses
+import io
 
 import numpy as np
 import pytest
 
-from contactcurves import analysis, curves, families
+from contactcurves import analysis, cli, curves, families
 
 
 def grid(spec, m=128):
@@ -505,16 +507,17 @@ def test_case4_ode_round_trip():
     assert abs(rep.w0 - 0.75) < 1e-12
 
 
-def test_case4_frozen_product():
-    # alpha0 = -pi/3 at c = 7: the product k2 k3 must equal
-    # -3 (c-1)/8 * sin(2 alpha0) = 1.9485571585149869 (hand value),
-    # and the sign constraint 3 (c-1) sin(2 alpha0) < 0 holds
+def frozen_case4_frame():
+    """Constant case-IV frame with alpha0 = -pi/3, k1 = 1, k2 = 1.5.
+
+    k3 makes k2 k3 = -3 (c-1)/8 * sin(2 alpha0) = 1.9485571585149869 at
+    c = 7 (hand value), where 3 (c-1) sin(2 alpha0) < 0 holds.
+    """
     a0 = -np.pi / 3
     k2 = 1.5
-    k3 = 1.9485571585149869 / k2
     e = np.eye(5)
-    fr = synthetic_frenet(
-        [1.0, k2, k3],
+    return synthetic_frenet(
+        [1.0, k2, 1.9485571585149869 / k2],
         [
             e[0],
             np.cos(a0) * e[2] + np.sin(a0) * e[1],
@@ -522,6 +525,12 @@ def test_case4_frozen_product():
             np.sin(a0) * e[2] - np.cos(a0) * e[1],
         ],
     )
+
+
+def test_case4_frozen_product():
+    a0 = -np.pi / 3
+    k2 = 1.5
+    fr = frozen_case4_frame()
     sc = curves.frame_scalars(fr)
     rep = analysis.case4_ode_residuals(fr, sc, c=7.0)
     assert rep.max_residuals["k2k3_ode"] < 1e-9
@@ -534,6 +543,63 @@ def test_case4_frozen_product():
     chk = analysis.theorem31_check(fr, sc, c=7.0, delta=sol.delta)
     assert chk.passed
     assert chk.condition1_mode == "span"
+
+
+def test_case4_constants_agree_with_classify():
+    fr = frozen_case4_frame()
+    sc = curves.frame_scalars(fr)
+    rep = analysis.case4_ode_residuals(fr, sc, c=7.0)
+    cls = analysis.classify(fr, sc, c=7.0)
+    assert cls.case == "IV"
+    assert rep.alpha0 == cls.alpha0
+    assert rep.w0 == cls.w0
+    assert rep.w0_variance == cls.w0_variance
+    assert abs(cls.alpha0 + np.pi / 3) < 1e-12
+
+
+def _scan_rho(case, c, k1, k2, alpha0):
+    """The rho column of a one-cell scan at exactly these floats."""
+    buf = io.StringIO()
+    argv = ["scan", "--case", case]
+    for flag, value in (("c", c), ("k1", k1), ("k2", k2), ("alpha0", alpha0)):
+        argv.append(f"--{flag}-range={value!r}:{value!r}:1")
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    rows = buf.getvalue().splitlines()
+    assert len(rows) == 2
+    return float(rows[1].split(",")[5])
+
+
+@pytest.mark.parametrize("label, c, case", [
+    ("orthogonal helix", 1.0, "I"),
+    ("example", -3.0, "II"),
+    ("example", 2.5, "II"),
+    ("helix", -3.0, "III"),
+    ("frozen case IV", 7.0, "IV"),
+])
+def test_solve_delta_rho_matches_scan(label, c, case):
+    if label == "frozen case IV":
+        fr = frozen_case4_frame()
+        sc = curves.frame_scalars(fr)
+    else:
+        spec = {
+            "orthogonal helix": families.orthogonal_helix(0.6, 0.5),
+            "example": cli.example_spec(),
+            "helix": families.helix(3.0),
+        }[label]
+        fr, sc = frenet_pair(spec, grid(spec))
+    sol = analysis.solve_delta(fr, sc, c)
+    cls = sol.classification
+    assert cls.case == case and sol.rho is not None
+    k1 = float(np.mean(fr.curvatures[0]))
+    k2 = float(np.mean(fr.curvatures[1])) if fr.r >= 3 else 0.0
+    alpha0 = cls.alpha0 if case == "IV" else 0.0
+    assert sol.rho == _scan_rho(case, float(c), k1, k2, alpha0)
+
+
+def test_case_formula_rejects_unknown_case():
+    with pytest.raises(analysis.AnalysisError, match="case must be"):
+        analysis.case_formula("V", -3.0, 1.0, 0.0)
 
 
 def test_case4_w0_round_trip():

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -273,6 +274,26 @@ def test_covariant_derivative_frame_field_vs_table(example_curve, example_grid):
 
     sampled = covariant_derivative_along(example_curve, X1.copy(), ts)
     assert np.max(np.abs(sampled - expected)) < 1e-7
+
+
+def test_covariant_derivative_callable_must_be_jet_aware(example_curve):
+    # a callable that only takes floats is an error, not a quiet switch to
+    # the (1e-7 accurate) stencils; its samples are the supported input
+    ts = sample_grid(example_curve, 64)
+
+    def float_only(t):
+        return np.array([0.0, 0.0, 2.0 * math.cos(t), 0.0, 0.0])
+
+    with pytest.raises(TypeError):
+        covariant_derivative_along(example_curve, float_only, ts)
+    with pytest.raises(CurveError, match="not a Jet"):
+        covariant_derivative_along(
+            example_curve, lambda t: np.zeros(5), ts
+        )
+    sampled = np.stack([float_only(t) for t in ts], axis=1)
+    assert covariant_derivative_along(example_curve, sampled, ts).shape == (
+        5, ts.size
+    )
 
 
 def test_covariant_derivative_sampled_needs_grid(example_curve):
