@@ -101,14 +101,14 @@ def _bitension_parts(n, T, c):
 def tension(spec, ts):
     """nabla_T T along the curve, in frame components, shape (2n+1, N)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    _, tau = _direct_jets(spec.n, _curve_frames(spec, ts, 3)[2], depth=1)
+    _, tau = _direct_jets(spec.n, _curve_frames(spec, ts, 2)[2], depth=1)
     return tau.value
 
 
 def bitension(spec, ts, c=-3.0):
     """nabla_T^3 T - R(T, nabla_T T)T in frame components, shape (2n+1, N)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return _bitension_parts(spec.n, _curve_frames(spec, ts, 6)[2], c)[1]
+    return _bitension_parts(spec.n, _curve_frames(spec, ts, 4)[2], c)[1]
 
 
 def _span_leakage(vec, frames_m):

@@ -20,8 +20,9 @@ components against (X_1..X_n, X_{n+1}..X_{2n}, xi), with the frame algebra
 of :mod:`contactcurves.model` applied to jets.  The covariant derivative of
 a coefficient jet V along the curve is the coefficient derivative plus the
 bilinear connection term :func:`contactcurves.model.gamma_frame`.  The
-Frenet jets have order max(6, 2n+1), enough for every osculating order the
-dimension allows.
+Frenet jets have order 5, which decides every osculating order up to 4 and
+gives the curvature derivatives the analysis reads; a curve in n >= 3 that
+turns out to have r >= 5 is rebuilt once at order 2n+1.
 """
 
 from __future__ import annotations
@@ -593,18 +594,61 @@ class FrenetData:
     def curvature_derivs(self, i, upto=2):
         """k_{i+1} and its first derivatives on the grid, shape (upto+1, N).
 
-        Uses the stored jets when available (exact), otherwise falls back to
-        differencing the grid values.
+        Read exactly from the stored jets; a jet of order below upto raises
+        CurveError.  Frame data without curvature jets (synthetic frames)
+        differences the grid values instead.
         """
-        if i < len(self.curvature_jets) and self.curvature_jets[i] is not None:
+        if self.curvature_jets:
             j = self.curvature_jets[i]
-            if j.order >= upto:
-                return np.stack([j.deriv(k) for k in range(upto + 1)])
+            if j.order < upto:
+                raise CurveError(
+                    f"curvature k_{i + 1} (i={i}) has a jet of order "
+                    f"{j.order}, too short for derivatives up to {upto}"
+                )
+            return np.stack([j.deriv(k) for k in range(upto + 1)])
         k = self.curvatures[i]
         rows = [k]
         for _ in range(upto):
             rows.append(np.gradient(rows[-1], self.ts, edge_order=2))
         return np.stack(rows)
+
+
+# Order of the first Frenet build: the lowest that decides r <= 4 and keeps
+# k_1'', k_2' and k_3 (see frenet_apparatus).
+_FRENET_ORDER = 5
+
+
+def _gram_schmidt(n, ts, T, tol):
+    """Frame jets E_1.., curvature jets k_1.. and r from the velocity jet T.
+
+    Each covariant derivative costs one order.  r is None when a frame E_i
+    with i < 2n+1 comes out at order 0 before the curvatures vanish: the
+    jets are too short to tell whether the osculating order exceeds i.
+    """
+    dim = 2 * n + 1
+    frame_list = [T]
+    curv_jets = []
+    while len(frame_list) < dim:
+        i = len(frame_list)          # currently have E_1..E_i
+        if frame_list[-1].order == 0:
+            return frame_list, curv_jets, None
+        w = _nabla_along(n, T, frame_list[-1])
+        for e in frame_list:
+            w = w - metric_frame(w, e) * e.truncate(w.order)
+        norm2 = metric_frame(w, w)
+        kvals = np.sqrt(np.maximum(norm2.value, 0.0))
+        if np.max(kvals) < tol:
+            return frame_list, curv_jets, i
+        if np.min(kvals) < tol:
+            bad = ts[int(np.argmin(kvals))]
+            raise CurveError(
+                f"osculating order is not constant: curvature {i} falls "
+                f"below tol={tol:.1e} near t={bad:.6g} but not everywhere"
+            )
+        k_jet = jets.sqrt(norm2)
+        frame_list.append(w / k_jet)
+        curv_jets.append(k_jet)
+    return frame_list, curv_jets, dim
 
 
 def frenet_apparatus(spec, ts, tol=1e-7, unit_tol=1e-6):
@@ -622,52 +666,36 @@ def frenet_apparatus(spec, ts, tol=1e-7, unit_tol=1e-6):
     |eta(T)| and |speed - 1|, and their report is kept as
     FrenetData.arclength.
 
-    The coordinate jets have order max(6, 2n+1), fixed by the dimension.
-    Each covariant derivative costs one order, so E_i has order
-    max(6, 2n+1) - i: E_1..E_{2n} can all be differentiated, whatever the
-    osculating order, and k_1 keeps at least four exact derivatives.
+    The coordinate jets have order 5.  Each covariant derivative costs one
+    order, so E_i has order 5 - i and k_i order 4 - i: k_1 keeps three
+    exact derivatives, k_2 two and k_3 one, and r <= 4 is decided without
+    further differentiation; for n <= 2 every osculating order is.  Only a
+    curve in n >= 3 with r >= 5 runs out of order at E_5; its jets are
+    rebuilt once at order 2n+1, where E_1..E_{2n} can all be differentiated.
+    Truncated Taylor arithmetic is causal, so every coefficient the first
+    build keeps is the one the longer build gives.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = spec.n
-    dim = spec.dim
-    v, y, T = _curve_frames(spec, ts, order=max(6, dim))
-    arclength = _arclength_report(ts, v.value, y.value, n)
-    if arclength.max_defect > unit_tol:
-        raise CurveError(
-            f"curve is not Legendre: max |eta(T)| = "
-            f"{arclength.max_defect:.6e} exceeds tolerance {unit_tol:g}"
-        )
-    if arclength.max_deviation > unit_tol:
-        raise CurveError(
-            f"curve is not unit speed: max speed deviation = "
-            f"{arclength.max_deviation:.6e} exceeds tolerance {unit_tol:g}"
-        )
-
-    frame_list = [T]
-    curv_jets = []
-    r = None
-    while True:
-        i = len(frame_list)          # currently have E_1..E_i
-        if i == dim:
-            r = dim
+    arclength = None
+    for order in (_FRENET_ORDER, spec.dim):
+        v, y, T = _curve_frames(spec, ts, order)
+        if arclength is None:
+            arclength = _arclength_report(ts, v.value, y.value, n)
+            if arclength.max_defect > unit_tol:
+                raise CurveError(
+                    f"curve is not Legendre: max |eta(T)| = "
+                    f"{arclength.max_defect:.6e} exceeds tolerance {unit_tol:g}"
+                )
+            if arclength.max_deviation > unit_tol:
+                raise CurveError(
+                    f"curve is not unit speed: max speed deviation = "
+                    f"{arclength.max_deviation:.6e} exceeds tolerance "
+                    f"{unit_tol:g}"
+                )
+        frame_list, curv_jets, r = _gram_schmidt(n, ts, T, tol)
+        if r is not None:
             break
-        w = _nabla_along(n, T, frame_list[-1])
-        for e in frame_list:
-            w = w - metric_frame(w, e) * e.truncate(w.order)
-        norm2 = metric_frame(w, w)
-        kvals = np.sqrt(np.maximum(norm2.value, 0.0))
-        if np.max(kvals) < tol:
-            r = i
-            break
-        if np.min(kvals) < tol:
-            bad = ts[int(np.argmin(kvals))]
-            raise CurveError(
-                f"osculating order is not constant: curvature {i} falls "
-                f"below tol={tol:.1e} near t={bad:.6g} but not everywhere"
-            )
-        k_jet = jets.sqrt(norm2)
-        frame_list.append(w / k_jet)
-        curv_jets.append(k_jet)
 
     frames = np.stack([e.value for e in frame_list])
     if curv_jets:

@@ -125,7 +125,10 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -np.asarray(other, dtype=float))
+        if isinstance(other, Jet):
+            K = min(self.order, other.order)
+            return Jet(self.coeffs[: K + 1] - other.coeffs[: K + 1])
+        return self + (-np.asarray(other, dtype=float))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -228,7 +231,7 @@ def _divide(a: Jet, b: Jet) -> Jet:
     out = np.zeros((K + 1,) + shape)
     out[0] = a.coeffs[0] / b0
     for k in range(1, K + 1):
-        acc = a.coeffs[k].astype(float, copy=True) + np.zeros(shape)
+        acc = a.coeffs[k] + np.zeros(shape)
         for j in range(k):
             acc -= out[j] * b.coeffs[k - j]
         out[k] = acc / b0
@@ -283,7 +286,7 @@ def log(x):
     v[0] = np.log(u0)
     # invert the exp recurrence: k u_k = sum_{j=1..k} j v_j u_{k-j}
     for k in range(1, K + 1):
-        acc = k * x.coeffs[k].astype(float, copy=True)
+        acc = k * x.coeffs[k]
         for j in range(1, k):
             acc = acc - j * v[j] * x.coeffs[k - j]
         v[k] = acc / (k * u0)
@@ -313,7 +316,7 @@ def sqrt(x):
     s = np.zeros_like(x.coeffs)
     s[0] = np.sqrt(u0)
     for k in range(1, K + 1):
-        acc = x.coeffs[k].astype(float, copy=True)
+        acc = x.coeffs[k]
         for j in range(1, k):
             acc = acc - s[j] * s[k - j]
         s[k] = acc / (2.0 * s[0])

@@ -100,6 +100,30 @@ def test_bitension_tangential_component_tracks_curvature_slope():
     assert np.abs(rep.projections["E1"] - expected).max() < 1e-8
 
 
+@pytest.mark.parametrize("spec", [
+    pytest.param(curves.CurveSpec(2, ["sin(2*t)", "-cos(2*t)", "0", "0", "1"]),
+                 id="example"),
+    pytest.param(families.helix(), id="helix"),
+    pytest.param(families.orthogonal_helix(), id="orthogonal_helix"),
+    pytest.param(families.r4_curve(0), id="r4_curve"),
+])
+def test_tension_and_bitension_match_longer_jets(spec):
+    # tension reads T to order 1 and bitension to order 3, so jets of
+    # order 2 and 4 give the bits that order 3 and 6 gave
+    ts = grid(spec, 96)
+    T3 = curves._curve_frames(spec, ts, 3)[2]
+    T6 = curves._curve_frames(spec, ts, 6)[2]
+    tau = analysis._direct_jets(spec.n, T3, depth=1)[1].value
+    got = analysis.tension(spec, ts)
+    assert np.array_equal(got, tau)
+    assert np.array_equal(np.signbit(got), np.signbit(tau))
+    for c in (-3.0, 0.5, 2.0):
+        want = analysis._bitension_parts(spec.n, T6, c)[1]
+        got = analysis.bitension(spec, ts, c)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_curvature_derivatives_rational_turn():
     spec = families.rational_turn()
     ts = np.linspace(-1.5, 1.5, 161)

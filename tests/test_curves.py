@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -25,7 +26,7 @@ from contactcurves.curves import (
 )
 from contactcurves.discrete import DiscreteCurve
 from contactcurves.expressions import parse
-from contactcurves.model import from_frame
+from contactcurves.model import from_frame, metric_frame, phi_frame
 
 
 def test_curve_spec_validation():
@@ -204,7 +205,7 @@ def test_frenet_checks_legendre_before_speed():
         id=f"random_r{r}") for r in (1, 2, 3, 4)),
 ])
 def test_frenet_arclength_equals_arclength_check(spec, grid):
-    # the order-6 jets' first derivative slot gives the order-1 numbers
+    # the Frenet jets' first derivative slot gives the order-1 numbers
     ts = sample_grid(spec, grid)
     got = frenet_apparatus(spec, ts).arclength
     want = arclength_check(spec, ts)
@@ -226,7 +227,8 @@ def test_frenet_nonconstant_order_names_t():
 
 def test_frenet_jet_order_follows_dimension():
     # three circles at frequencies 1, 2, 3 span all of R^7, so r = 2n+1 = 7
-    # and E_1..E_6 must all be differentiated: order-7 coordinate jets
+    # and E_1..E_6 must all be differentiated: the order-5 build runs out at
+    # E_5 and the jets are rebuilt at order 7
     spec = families.multi_exponential([1.0 / np.sqrt(3.0)] * 3, [1.0, 2.0, 3.0])
     fr = frenet_apparatus(spec, sample_grid(spec, 64), tol=1e-6)
     assert (fr.r, fr.m) == (7, 4)
@@ -474,3 +476,135 @@ def test_velocity_jets_equal_coordinate_jet_derivative(order):
                           (y.coeffs, cj.coeffs[:, spec.n:2 * spec.n])):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# ---------------------------------------------------------------------------
+# the Frenet build at order 5 against one pass at order max(6, 2n+1)
+
+
+def _full_order_frenet(spec, ts, tol):
+    """The Gram-Schmidt loop at order max(6, 2n+1), whatever r turns out to be."""
+    n, dim = spec.n, spec.dim
+    v, y, T = curves._curve_frames(spec, ts, max(6, dim))
+    arclength = curves._arclength_report(ts, v.value, y.value, n)
+    frame_list = [T]
+    curv_jets = []
+    while True:
+        i = len(frame_list)
+        if i == dim:
+            r = dim
+            break
+        w = curves._nabla_along(n, T, frame_list[-1])
+        for e in frame_list:
+            w = w - metric_frame(w, e) * e.truncate(w.order)
+        norm2 = metric_frame(w, w)
+        kvals = np.sqrt(np.maximum(norm2.value, 0.0))
+        if np.max(kvals) < tol:
+            r = i
+            break
+        k_jet = jets.sqrt(norm2)
+        frame_list.append(w / k_jet)
+        curv_jets.append(k_jet)
+    return r, frame_list, curv_jets, arclength
+
+
+def _assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _r4_curve_in_n3():
+    """A tabulated r = 4 curve with a third, silent complex axis."""
+    theta, mu, nu = families.R4_PARAMS[1]
+    return families.multi_exponential(
+        [math.cos(theta), math.sin(theta), 0.0], [mu, nu, 0.0]
+    )
+
+
+_HALF = math.sqrt(0.5)
+# (spec, r, tol): n = 1, 2, 3 at every osculating order up to 4 that the
+# dimension allows, plus the three-circle curve, whose r = 7 needs order 7
+FRENET_ORDER_CASES = [
+    pytest.param(CurveSpec(1, ["2*t", "0", "0"], closed=False), 1, 1e-7,
+                 id="n1_geodesic"),
+    pytest.param(families.multi_exponential([1.0], [2.0]), 3, 1e-7,
+                 id="n1_circle"),
+    pytest.param(families.rational_turn(), 3, 1e-7, id="n1_rational_turn"),
+    pytest.param(families.geodesic((1.0, 0.5, -0.3, 0.2)), 1, 1e-7,
+                 id="n2_geodesic"),
+    pytest.param(families.circle(1.7, 0.3, 0.9), 2, 1e-7, id="n2_circle"),
+    pytest.param(families.helix(2.5, 0.4), 3, 1e-7, id="n2_helix"),
+    pytest.param(families.r4_curve(0), 4, 1e-7, id="n2_r4"),
+    pytest.param(make_legendre(["1.2*t", "0", "0"], ["0", "1.6*t", "0"],
+                               closed=False), 1, 1e-7, id="n3_geodesic"),
+    pytest.param(families.multi_exponential([_HALF, _HALF, 0.0],
+                                            [1.5, -1.5, 0.0]), 2, 1e-7,
+                 id="n3_circle"),
+    pytest.param(families.orthogonal_helix(), 3, 1e-7, id="n3_orthogonal_helix"),
+    pytest.param(_r4_curve_in_n3(), 4, 1e-7, id="n3_r4"),
+    pytest.param(families.multi_exponential([1.0 / math.sqrt(3.0)] * 3,
+                                            [1.0, 2.0, 3.0]), 7, 1e-6,
+                 id="three_circle"),
+]
+
+
+def _frenet_grid(spec):
+    return sample_grid(spec, 64) if spec.closed else np.linspace(-2.0, 2.0, 65)
+
+
+@pytest.mark.parametrize("spec, r, tol", FRENET_ORDER_CASES)
+def test_frenet_matches_full_order_build(spec, r, tol):
+    ts = _frenet_grid(spec)
+    fr = frenet_apparatus(spec, ts, tol=tol)
+    want_r, frame_list, curv_jets, arclength = _full_order_frenet(spec, ts, tol)
+    assert fr.r == want_r == r
+    _assert_bitwise(fr.frames, np.stack([e.value for e in frame_list]))
+    _assert_bitwise(fr.curvatures,
+                    np.stack([k.value for k in curv_jets]) if curv_jets
+                    else np.zeros((0, ts.size)))
+    for name in ("speeds", "defects"):
+        _assert_bitwise(getattr(fr.arclength, name), getattr(arclength, name))
+    assert fr.arclength.max_deviation == arclength.max_deviation
+    assert fr.arclength.max_defect == arclength.max_defect
+    for i, upto in ((0, 2), (1, 1), (2, 0))[:r - 1]:
+        _assert_bitwise(fr.curvature_derivs(i, upto),
+                        np.stack([curv_jets[i].deriv(k)
+                                  for k in range(upto + 1)]))
+    if r >= 2:
+        f_jet = frame_scalars(fr).f_jet
+        want = metric_frame(phi_frame(frame_list[0], spec.n), frame_list[1])
+        for k in range(2):
+            _assert_bitwise(f_jet.deriv(k), want.deriv(k))
+
+
+@pytest.mark.parametrize("spec, r, tol", FRENET_ORDER_CASES)
+def test_frenet_evaluates_the_curve_once_unless_r_exceeds_4(spec, r, tol,
+                                                            monkeypatch):
+    calls = []
+    original = curves._velocity_jets
+
+    def counted(spec, ts, order):
+        calls.append(order)
+        return original(spec, ts, order)
+
+    monkeypatch.setattr(curves, "_velocity_jets", counted)
+    frenet_apparatus(spec, _frenet_grid(spec), tol=tol)
+    assert calls == ([5] if r <= 4 else [5, spec.dim])
+
+
+def test_curvature_derivs_beyond_the_jet_order_raise():
+    spec = families.r4_curve(0)
+    fr = frenet_apparatus(spec, sample_grid(spec, 64))
+    assert [k.order for k in fr.curvature_jets] == [3, 2, 1]
+    assert fr.curvature_derivs(0, upto=3).shape == (4, 64)
+    with pytest.raises(CurveError, match=r"k_1 \(i=0\).*order 3.*up to 4"):
+        fr.curvature_derivs(0, upto=4)
+    with pytest.raises(CurveError, match=r"k_3 \(i=2\).*order 1.*up to 2"):
+        fr.curvature_derivs(2, upto=2)
+    # without jets the grid values are differenced, as for synthetic frames
+    bare = dataclasses.replace(fr, curvature_jets=[])
+    k1 = bare.curvature_derivs(0, upto=4)
+    assert k1.shape == (5, 64)
+    _assert_bitwise(k1[0], fr.curvatures[0])

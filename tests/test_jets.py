@@ -271,3 +271,107 @@ def test_product_kernel_sums_of_negative_zeros_are_positive():
     got = (jets.Jet(a) * jets.Jet(b)).coeffs
     _assert_bitwise(got, _loop_mul(a, b))
     assert not np.signbit(got).any()
+
+
+# ---------------------------------------------------------------------------
+# subtraction and the divide/log/sqrt recurrences against the forms they
+# replaced: negation into a temporary then addition, and a float copy of
+# each input coefficient before the loop
+
+
+def _neg_add_sub(a, b):
+    return (jets.Jet(a) + (-jets.Jet(b))).coeffs
+
+
+def _copy_divide(a, b):
+    K = min(a.shape[0], b.shape[0]) - 1
+    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    out = np.zeros((K + 1,) + shape)
+    out[0] = a[0] / b[0]
+    for k in range(1, K + 1):
+        acc = a[k].astype(float, copy=True) + np.zeros(shape)
+        for j in range(k):
+            acc -= out[j] * b[k - j]
+        out[k] = acc / b[0]
+    return out
+
+
+def _copy_log(u):
+    v = np.zeros_like(u)
+    v[0] = np.log(u[0])
+    for k in range(1, u.shape[0]):
+        acc = k * u[k].astype(float, copy=True)
+        for j in range(1, k):
+            acc = acc - j * v[j] * u[k - j]
+        v[k] = acc / (k * u[0])
+    return v
+
+
+def _copy_sqrt(u):
+    s = np.zeros_like(u)
+    s[0] = np.sqrt(u[0])
+    for k in range(1, u.shape[0]):
+        acc = u[k].astype(float, copy=True)
+        for j in range(1, k):
+            acc = acc - s[j] * s[k - j]
+        s[k] = acc / (2.0 * s[0])
+    return s
+
+
+def _positive_base(c, sign=1.0):
+    """c with its order-0 slot moved away from zero (sign > 0: positive)."""
+    c = c.copy()
+    c[0] = sign * (np.abs(c[0]) + 0.5)
+    return c
+
+
+def _assert_same_outcome(got, want):
+    """got() and want() give bitwise-equal arrays or raise the same error."""
+    try:
+        expected = want()
+    except ValueError:
+        with pytest.raises(ValueError):
+            got()
+        return
+    _assert_bitwise(got(), expected)
+
+
+@pytest.mark.parametrize("shapes", [((), ()), ((64,), (64,)),
+                                    ((3, 64), (1, 64)), ((64,), (3, 64)),
+                                    ((3, 64), ())])
+@pytest.mark.parametrize("order", range(7))
+def test_sub_divide_log_sqrt_match_old_forms_bitwise(order, shapes):
+    rng = np.random.default_rng([3000, order, len(shapes[0]), len(shapes[1])])
+    a = _signed_coeffs(rng, order, shapes[0])
+    b = _signed_coeffs(rng, order, shapes[1])
+    longer = _signed_coeffs(rng, order + 2, shapes[1])
+    # value axes of unequal rank do not broadcast through the order axis in
+    # a sum, so there both forms must raise alike
+    for x, y in ((a, b), (b, a), (a, longer), (longer, a), (a, a), (a, -a)):
+        _assert_same_outcome(lambda: (jets.Jet(x) - jets.Jet(y)).coeffs,
+                             lambda: _neg_add_sub(x, y))
+    for x, y in ((a, b), (b, a), (a, longer), (longer, a)):
+        for sign in (1.0, -1.0):
+            y = _positive_base(y, sign)
+            _assert_bitwise((jets.Jet(x) / jets.Jet(y)).coeffs,
+                            _copy_divide(x, y))
+    for x in (a, b, longer):
+        x = _positive_base(x)
+        _assert_bitwise(jets.log(jets.Jet(x)).coeffs, _copy_log(x))
+        _assert_bitwise(jets.sqrt(jets.Jet(x)).coeffs, _copy_sqrt(x))
+
+
+def test_sub_and_divide_signed_zeros():
+    # -0 - (-0) and +0 + (-0) are both +0; a -0 numerator over a positive
+    # divisor stays -0 in slot 0 and the later slots come out +0
+    zeros = np.array([[0.0, -0.0, -0.0, 0.0]] * 4)
+    neg = np.array([[-0.0, -0.0, 0.0, 0.0]] * 4)
+    for x, y in ((zeros, neg), (neg, zeros), (neg, neg)):
+        _assert_bitwise((jets.Jet(x) - jets.Jet(y)).coeffs, _neg_add_sub(x, y))
+    one = jets.constant(np.ones(4), 3).coeffs
+    _assert_bitwise((jets.Jet(neg) / jets.Jet(one)).coeffs,
+                    _copy_divide(neg, one))
+    assert not np.signbit((jets.Jet(neg) / jets.Jet(one)).coeffs[1:]).any()
+    x = _positive_base(neg)
+    _assert_bitwise(jets.sqrt(jets.Jet(x)).coeffs, _copy_sqrt(x))
+    _assert_bitwise(jets.log(jets.Jet(x)).coeffs, _copy_log(x))
