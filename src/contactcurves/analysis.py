@@ -453,20 +453,33 @@ def case_formula(case, c, k1, k2, alpha0=0.0):
     negative) in case IV, else None; threshold says a nonnegative rho admits
     only geodesics (c <= -3 in cases II and IV, c < 1 in III, which reads
     k1 only).  The scan and solve_delta both read this table.
+
+    Scalar arguments give Python floats and bools.  Broadcastable arrays
+    give arrays, elementwise bitwise equal to the scalar calls: squares go
+    through np.float_power, which rounds as Python's pow does, where numpy's
+    ``x ** 2`` on an array computes x*x and can differ by an ulp.
     """
+    sq = np.float_power
     if case == "I":
-        rho = 1.0 - (k1 ** 2 + k2 ** 2)
-        return rho, rho, False
-    if case == "II":
-        return (c + 3.0) / 4.0 - (k1 ** 2 + k2 ** 2), None, c <= -3.0
-    if case == "III":
-        return c - 1.0 - k1 ** 2, None, c < 1.0
-    if case == "IV":
+        rho = 1.0 - (sq(k1, 2.0) + sq(k2, 2.0))
+        constraint, threshold = rho, False
+    elif case == "II":
+        rho = (c + 3.0) / 4.0 - (sq(k1, 2.0) + sq(k2, 2.0))
+        constraint, threshold = None, c <= -3.0
+    elif case == "III":
+        rho = c - 1.0 - sq(k1, 2.0)
+        constraint, threshold = None, c < 1.0
+    elif case == "IV":
         constraint = 3.0 * (c - 1.0) * np.sin(2.0 * alpha0)
-        rho = ((c + 3.0) / 4.0 + 3.0 * (c - 1.0) / 4.0 * np.cos(alpha0) ** 2
-               - (k1 ** 2 + k2 ** 2))
-        return float(rho), float(constraint), c <= -3.0
-    raise AnalysisError(f"case must be I, II, III or IV, got {case!r}")
+        rho = ((c + 3.0) / 4.0 + 3.0 * (c - 1.0) / 4.0 * sq(np.cos(alpha0), 2.0)
+               - (sq(k1, 2.0) + sq(k2, 2.0)))
+        threshold = c <= -3.0
+    else:
+        raise AnalysisError(f"case must be I, II, III or IV, got {case!r}")
+    if np.ndim(rho) == 0:
+        return (float(rho), None if constraint is None else float(constraint),
+                bool(threshold))
+    return rho, constraint, threshold
 
 
 @dataclass

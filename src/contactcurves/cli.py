@@ -25,6 +25,7 @@ and ``#`` starts a comment.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -53,6 +54,8 @@ EXAMPLE_COORDS = ("sin(2*t)", "-cos(2*t)", "0", "0", "1")
 GEODESIC_VERDICT = "geodesic: any delta admissible"
 THRESHOLD_VERDICT = "geodesic only for delta1/delta2 >= 0"
 EXCLUDED_VERDICT = "excluded: requires delta1/delta2 != 0"
+# the scan's verdict column by code: 0 none, 1 threshold, 2 excluded, 3 geodesic
+SCAN_VERDICTS = ("", THRESHOLD_VERDICT, EXCLUDED_VERDICT, GEODESIC_VERDICT)
 
 
 class ConfigError(ValueError):
@@ -114,13 +117,22 @@ def parse_range(text, name):
         count = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+    for bound, value in (("start", start), ("stop", stop)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name}: {bound} must be finite, got {value!r}")
     if count < 1:
         raise ConfigError(f"{name}: count must be >= 1, got {count}")
     if count == 1 and stop != start:
         raise ConfigError(
             f"{name}: a single-sample range needs start == stop"
         )
-    return np.linspace(start, stop, count)
+    with np.errstate(all="ignore"):
+        values = np.linspace(start, stop, count)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(
+            f"{name}: the samples of {text!r} overflow to non-finite values"
+        )
+    return values
 
 
 def _write_output(text, out):
@@ -338,31 +350,6 @@ def cmd_verify_example(args):
 # scan
 
 
-def _scan_cell(case, c, k1, k2, alpha0):
-    """One scan row: required ratio and feasibility for a parameter cell.
-
-    Returns (case, c, k1, k2, alpha0, rho, constraint, feasible, verdict),
-    with rho, constraint and threshold read from analysis.case_formula.
-    """
-    if k1 == 0.0:
-        # no first curvature means no Frenet frame past T: a geodesic
-        return (case, c, k1, k2, None, None, None, True, GEODESIC_VERDICT)
-
-    rho, constraint, threshold = analysis.case_formula(case, c, k1, k2, alpha0)
-    verdict = THRESHOLD_VERDICT if threshold else ""
-    feasible = True
-    if case == "I":
-        feasible = abs(rho) > 1e-12
-        if not feasible:
-            verdict = EXCLUDED_VERDICT
-    elif case == "III":
-        k2 = 1.0                  # forced by the case equations
-    elif case == "IV":
-        feasible = constraint < 0.0
-    return (case, c, k1, k2, alpha0 if case == "IV" else None, rho,
-            constraint, feasible, verdict)
-
-
 def cmd_scan(args):
     if not args.tol > 0.0:
         raise ConfigError(f"--tol must be positive, got {args.tol}")
@@ -381,14 +368,58 @@ def cmd_scan(args):
     if case != "IV":
         alphas = np.array([0.0])
 
-    rows = [
-        _scan_cell(case, float(c), float(k1), float(k2), float(a))
-        for c in cs for k1 in k1s for k2 in k2s for a in alphas
-    ]
+    # one row per (c, k1, k2, alpha0) cell in row-major order; i_* index the axes
+    shape = (cs.size, k1s.size, k2s.size, alphas.size)
+    i_c, i_k1, i_k2, i_a = np.indices(shape).reshape(4, -1)
+    n_rows = i_c.size
+    with np.errstate(all="ignore"):       # overflow is caught by to_csv
+        rho, constraint, threshold = analysis.case_formula(
+            case, *np.ix_(cs, k1s, k2s, alphas))
+    rho = np.broadcast_to(rho, shape).ravel()
+    if case == "I":
+        excluded = ~(np.abs(rho) > 1e-12)
+    else:
+        excluded = np.zeros(n_rows, dtype=bool)
+    if case == "IV":
+        # the constraint depends on (c, alpha0) only: one value per pair
+        constraint = constraint.ravel()
+        i_ca = i_c * alphas.size + i_a
+        feasible = constraint[i_ca] < 0.0
+    else:
+        feasible = ~excluded
+    # no first curvature means no Frenet frame past T: a geodesic
+    geodesic = k1s[i_k1] == 0.0
+    feasible |= geodesic
+    threshold = np.broadcast_to(threshold, shape).ravel()
+    verdict = np.select([geodesic, excluded, threshold], [3, 2, 1], 0)
+
+    def shown(index):
+        """index, with -1 (an empty cell) on the geodesic rows."""
+        return np.where(geodesic, -1, index)
+
+    empty = reporting.Indexed([], np.full(n_rows, -1))
+    rho_col = reporting.Indexed(rho, shown(np.arange(n_rows)))
+    if case == "IV":
+        alpha_col = reporting.Indexed(alphas, shown(i_a))
+        constraint_col = reporting.Indexed(constraint, shown(i_ca))
+    else:
+        alpha_col = empty
+        constraint_col = rho_col if case == "I" else empty
 
     header = ["case", "c", "k1", "k2", "alpha0", "rho",
               "constraint", "feasible", "verdict"]
-    _write_output(reporting.to_csv(header, rows), args.out)
+    columns = [
+        reporting.Indexed([case], np.zeros(n_rows, dtype=np.intp)),
+        reporting.Indexed(cs, i_c),
+        reporting.Indexed(k1s, i_k1),
+        reporting.Indexed(k2s, i_k2),
+        alpha_col,
+        rho_col,
+        constraint_col,
+        feasible,
+        reporting.Indexed(SCAN_VERDICTS, verdict),
+    ]
+    _write_output(reporting.to_csv(header, columns), args.out)
     return 0
 
 
@@ -410,11 +441,8 @@ def cmd_flow(args):
         steps=args.steps, rate=args.rate, c=args.c,
     )
     header = ["step", "energy", "max_defect", "analyzer_residual"]
-    rows = [
-        (row.step, row.energy, row.max_defect, row.analyzer_residual)
-        for row in result.rows
-    ]
-    text = reporting.to_csv(header, rows)
+    columns = [[getattr(row, name) for row in result.rows] for name in header]
+    text = reporting.to_csv(header, columns)
     if result.stopped and result.diagnostic:
         text += f"# stopped: {result.diagnostic}\n"
     _write_output(text, args.out)

@@ -10,11 +10,14 @@ handles the payload shapes the CLI produces and nothing else.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["format_float", "to_json", "to_csv", "ReportError"]
+__all__ = ["format_float", "to_json", "to_csv", "Indexed", "ReportError"]
 
 
 class ReportError(ValueError):
@@ -95,15 +98,81 @@ def _cell(value) -> str:
     raise ReportError(f"cannot serialize {type(value).__name__} in a CSV cell")
 
 
-def to_csv(header, rows) -> str:
-    """CSV text with a header line and the same float format as to_json."""
-    lines = [",".join(header)]
-    width = len(header)
-    for row in rows:
-        row = list(row)
-        if len(row) != width:
+class Indexed(NamedTuple):
+    """A CSV column whose row i holds values[index[i]], empty where it is -1.
+
+    Each distinct value is formatted once, however many rows repeat it.
+    """
+
+    values: Sequence
+    index: np.ndarray
+
+
+def _format_column(values):
+    """The cells of a column as strings, and a mask of the finite values.
+
+    A float array is checked with one np.isfinite and formatted with one
+    "%.17g" map (the same text as format_float); the mask is None when all
+    values are finite.  The cells of non-finite values are never written:
+    _cell_columns raises for the first one in row order.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        finite = np.isfinite(values)
+        cells = list(map("%.17g".__mod__, values.tolist()))
+        return cells, None if finite.all() else finite
+    if isinstance(values, np.ndarray) and values.dtype.kind == "b":
+        return ["true" if v else "false" for v in values.tolist()], None
+    finite = [not isinstance(v, (float, np.floating)) or math.isfinite(v)
+              for v in values]
+    cells = [_cell(v) if ok else "" for v, ok in zip(values, finite)]
+    return cells, None if all(finite) else np.array(finite, dtype=bool)
+
+
+def _cell_columns(header, columns):
+    """Each column of cells as a list of strings, one per row."""
+    if len(columns) != len(header):
+        raise ReportError(
+            f"CSV has {len(columns)} columns of cells, header has "
+            f"{len(header)} cells"
+        )
+    cell_columns = []
+    first_bad = None            # (row, value) of the first non-finite cell
+    for name, column in zip(header, columns):
+        values, index = column if isinstance(column, Indexed) else (column, None)
+        cells, finite = _format_column(values)
+        if index is not None:
+            cells = np.array(cells + [""], dtype=object)[index].tolist()
+            if finite is not None:
+                finite = np.append(finite, True)[index]
+        if cell_columns and len(cells) != len(cell_columns[0]):
             raise ReportError(
-                f"CSV row has {len(row)} cells, header has {width}"
+                f"CSV column {name!r} has {len(cells)} cells, column "
+                f"{header[0]!r} has {len(cell_columns[0])}"
             )
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+        cell_columns.append(cells)
+        if finite is not None and not finite.all():
+            row = int(np.argmin(finite))
+            if first_bad is None or row < first_bad[0]:
+                at = row if index is None else index[row]
+                first_bad = (row, values[at])
+    if first_bad is not None:
+        format_float(first_bad[1])          # raises, naming the value
+    return cell_columns
+
+
+def to_csv(header, columns) -> str:
+    """CSV text with a header line and the same float format as to_json.
+
+    columns holds one entry per header name: a sequence of cells, one per
+    row, or an Indexed column.  Cells are str, bool, None (empty), int or
+    float; a float array is formatted as a whole.  A non-finite float in a
+    written cell raises ReportError naming the first one in row order.
+    """
+    # rows are joined in blocks, so only one block of row strings is alive
+    # at a time, and zip frees each column list once it has run through it
+    lines = map(",".join, zip(*_cell_columns(header, columns)))
+    blocks = [",".join(header)]
+    while chunk := list(itertools.islice(lines, 4096)):
+        blocks.append("\n".join(chunk))
+    blocks.append("")
+    return "\n".join(blocks)

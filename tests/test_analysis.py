@@ -621,6 +621,48 @@ def test_solve_delta_rho_matches_scan(label, c, case):
     assert sol.rho == _scan_rho(case, float(c), k1, k2, alpha0)
 
 
+# each squares differently through x*x and through pow
+POW_SENSITIVE = (1.885376393636725, 1.452613002357677, 2.39007361511873)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("case", ["I", "II", "III", "IV"])
+def test_case_formula_arrays_match_scalar_calls_bitwise(case):
+    assert all(k * k != k ** 2 for k in POW_SENSITIVE)
+    rng = np.random.default_rng(11)
+    ks = np.concatenate([POW_SENSITIVE, [0.0, -0.0, 1.0],
+                         rng.uniform(0.0, 3.0, 7)])
+    cs = np.array([-5.0, -3.0, -0.0, 1.0, 2.5, *rng.uniform(-6.0, 6.0, 3)])
+    alphas = np.array([-0.0, np.pi / 4, -1.2, *rng.uniform(-3.0, 3.0, 3)])
+    grid = np.ix_(cs, ks, ks[::-1], alphas)
+    rho, constraint, threshold = analysis.case_formula(case, *grid)
+    shape = (cs.size, ks.size, ks.size, alphas.size)
+    rho = np.broadcast_to(rho, shape)
+    threshold = np.broadcast_to(threshold, shape)
+    if constraint is not None:
+        constraint = np.broadcast_to(constraint, shape)
+    for cell in np.ndindex(shape):
+        args = [float(axis.ravel()[i]) for axis, i in zip(grid, cell)]
+        s_rho, s_constraint, s_threshold = analysis.case_formula(case, *args)
+        assert type(s_rho) is float and type(s_threshold) is bool
+        assert _bits(rho[cell]) == _bits(s_rho), (cell, args)
+        assert bool(threshold[cell]) is s_threshold
+        if constraint is None:
+            assert s_constraint is None
+        else:
+            assert _bits(constraint[cell]) == _bits(s_constraint), (cell, args)
+
+
+def test_case_formula_squares_round_as_python_pow():
+    k = np.array(POW_SENSITIVE)
+    rho = analysis.case_formula("I", 1.0, k, 0.0)[0]
+    assert np.array_equal(_bits(rho), _bits([1.0 - x ** 2 for x in POW_SENSITIVE]))
+    assert not np.array_equal(_bits(rho), _bits(1.0 - k * k))
+
+
 def test_case_formula_rejects_unknown_case():
     with pytest.raises(analysis.AnalysisError, match="case must be"):
         analysis.case_formula("V", -3.0, 1.0, 0.0)

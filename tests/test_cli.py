@@ -76,14 +76,52 @@ def test_json_rejects_unknown_types():
 def test_csv_quoting_and_width():
     text = reporting.to_csv(
         ["a", "b", "c"],
-        [(1, "plain", 0.5), (2, "needs, quoting", None)],
+        [[1, 2], ["plain", "needs, quoting"], [0.5, None]],
     )
     lines = text.splitlines()
     assert lines[0] == "a,b,c"
     assert lines[1] == "1,plain,0.5"
     assert lines[2] == '2,"needs, quoting",'
     with pytest.raises(reporting.ReportError, match="cells"):
-        reporting.to_csv(["a", "b"], [(1,)])
+        reporting.to_csv(["a", "b"], [[1]])
+    with pytest.raises(reporting.ReportError, match="cells"):
+        reporting.to_csv(["a", "b"], [[1, 2], [3]])
+
+
+def test_csv_indexed_and_array_columns():
+    text = reporting.to_csv(
+        ["k", "x", "ok", "v"],
+        [
+            reporting.Indexed(np.array([0.1, -0.0]), np.array([1, -1, 0])),
+            np.array([1e-300, 2.0 / 3.0, 5e-324]),
+            np.array([True, False, True]),
+            reporting.Indexed(["a,b", None], np.array([0, 1, 0])),
+        ],
+    )
+    assert text == (
+        "k,x,ok,v\n"
+        "-0,1e-300,true,\"a,b\"\n"
+        ",0.66666666666666663,false,\n"
+        "0.10000000000000001,4.9406564584124654e-324,true,\"a,b\"\n"
+    )
+    assert reporting.to_csv(["a"], [np.zeros(0)]) == "a\n"
+
+
+def test_csv_names_the_first_non_finite_cell_in_row_order():
+    columns = [
+        reporting.Indexed(np.array([np.inf, 1.0]), np.array([-1, 1, 0])),
+        np.array([1.0, np.nan, -np.inf]),
+        [2.0, float("-inf"), 3.0],
+    ]
+    # row 0 skips the inf (empty cell); row 1 has nan before -inf
+    with pytest.raises(reporting.ReportError, match="non-finite value nan"):
+        reporting.to_csv(["a", "b", "c"], columns)
+    columns[1] = np.array([1.0, 2.0, -np.inf])
+    with pytest.raises(reporting.ReportError, match="non-finite value -inf"):
+        reporting.to_csv(["a", "b", "c"], columns)
+    columns[2] = [2.0, 4.0, 3.0]
+    with pytest.raises(reporting.ReportError, match="non-finite value inf"):
+        reporting.to_csv(["a", "b", "c"], columns)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +173,8 @@ def test_parse_range():
         parse_range("0:1:0", "r")
     with pytest.raises(ConfigError, match="start == stop"):
         parse_range("0:1:1", "r")
+    with pytest.raises(ConfigError, match="r: start must be finite"):
+        parse_range("-inf:0:2", "r")
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +494,31 @@ def test_scan_rejects_negative_curvature_range(capsys):
     rc, _, err = run(["scan", "--case", "II", "--k1-range=-1:1:3"], capsys)
     assert rc == 2
     assert "nonnegative" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_scan_overflow_exits_2_naming_the_value(capsys):
+    # k1^2 overflows: the cell's rho is -inf, reported without a traceback
+    rc, out, err = run(["scan", "--case", "IV", "--k1-range=1e200:1e200:1"],
+                       capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: non-finite value -inf in report payload\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, text, message", [
+    ("--c-range", "nan:nan:1", "--c-range: start must be finite, got nan"),
+    ("--c-range", "inf:inf:1", "--c-range: start must be finite, got inf"),
+    ("--k2-range", "0:-inf:3", "--k2-range: stop must be finite, got -inf"),
+    ("--alpha0-range", "0:nan:2",
+     "--alpha0-range: stop must be finite, got nan"),
+    ("--c-range", "-1.7e308:1.7e308:3",
+     "--c-range: the samples of '-1.7e308:1.7e308:3' overflow to "
+     "non-finite values"),
+])
+def test_scan_rejects_non_finite_ranges(capsys, flag, text, message):
+    rc, out, err = run(["scan", "--case", "II", f"{flag}={text}"], capsys)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,14 @@ def _argvs():
         ["scan", "--case", "III", "--c-range=-3:3:4", "--k1-range=0.5:3:6"],
         ["scan", "--case", "IV", "--c-range=-3:5:3", "--k1-range=0.5:2:3",
          "--k2-range=0.5:1.5:3", "--alpha0-range=-1.5:1.5:5"],
+        # case I with rho = 0 excluded rows and k1 = 0 rows
+        ["scan", "--case", "I", "--k1-range=0:1:6", "--k2-range=0:0.8:5"],
+        # case IV with k1 = 0 rows, c <= -3 threshold rows and -0 constraints
+        ["scan", "--case", "IV", "--c-range=-5:1:4", "--k1-range=0:2:3",
+         "--k2-range=0:1:2", "--alpha0-range=-1:1:3"],
+        # the 16 000-cell case-IV sweep
+        ["scan", "--case", "IV", "--c-range=-3:5:20", "--k1-range=0:2.5:20",
+         "--k2-range=0:2.5:20", "--alpha0-range=0:3:2"],
     ]
     return out
 
@@ -166,6 +174,12 @@ DIGESTS = {
         'f289deed65ce4e901af86b43c3409e99b959c4d832513ed4cb13e99b212c520c',
     'scan --case IV --c-range=-3:5:3 --k1-range=0.5:2:3 --k2-range=0.5:1.5:3 --alpha0-range=-1.5:1.5:5':
         '6ace76b274c1c486f3e1442f371f1fbfa862de9730583d35befe1ce567a3996f',
+    'scan --case I --k1-range=0:1:6 --k2-range=0:0.8:5':
+        '5dbd55dabb70b096d18aabe06a98993ede9ba63f5cddcce18f3a6aa79979246c',
+    'scan --case IV --c-range=-5:1:4 --k1-range=0:2:3 --k2-range=0:1:2 --alpha0-range=-1:1:3':
+        '6847b210ebc593a73cabdd62e9b76e6a65c6d3950ef6e1b912511f995e5fcf9a',
+    'scan --case IV --c-range=-3:5:20 --k1-range=0:2.5:20 --k2-range=0:2.5:20 --alpha0-range=0:3:2':
+        '7db4c66aa46af5811366029f094008068db425decfab81e3174cccd9a11f59b9',
 }
 
 
