@@ -40,6 +40,7 @@ from .curves import (
     frenet_apparatus,
     sample_grid,
 )
+from .expressions import EvaluationError
 
 __all__ = [
     "ConfigError",
@@ -545,8 +546,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CurveError, discrete.DiscreteCurveError, discrete.VariationError,
-            analysis.AnalysisError, reporting.ReportError) as exc:
+    except (CurveError, EvaluationError, discrete.DiscreteCurveError,
+            discrete.VariationError, analysis.AnalysisError,
+            reporting.ReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

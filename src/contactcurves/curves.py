@@ -15,6 +15,12 @@ velocity jet and the y jet and never a z value.  The z integral is
 therefore evaluated only where positions are read: :meth:`CurveSpec.point`,
 :func:`coordinate_jets` and :func:`parse_and_jet`.
 
+One jet pass over a curve evaluates each distinct function call once: all
+coordinates are evaluated in one sharing scope (see
+:meth:`contactcurves.expressions.Expr.evaluate`) that lives for that pass
+only, and the Taylor tail of a :func:`make_legendre` z reads the x and y
+profile jets the pass has already built.
+
 Tangent vectors along a curve are handled in frame coefficients, i.e. the
 components against (X_1..X_n, X_{n+1}..X_{2n}, xi), with the frame algebra
 of :mod:`contactcurves.model` applied to jets.  The covariant derivative of
@@ -145,7 +151,8 @@ class IntegralCoordinate:
     The integrand here is always sum_i y_i(s) x_i'(s), assembled from the
     profile expressions of :func:`make_legendre`.  Jets of this coordinate are
     exact in every derivative slot; only the order-zero value goes through
-    quadrature, and :meth:`_taylor_tail` gives the other slots without it.
+    quadrature, and :meth:`_taylor_tail` gives the other slots without it,
+    from the profile jets of the pass's sharing scope.
     """
 
     def __init__(self, z0, x_exprs, y_exprs):
@@ -186,23 +193,34 @@ class IntegralCoordinate:
         out[order] = self.z0 + cumulative[at] - base
         return out
 
-    def jet(self, ts, order):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        tail = self._taylor_tail(ts, order)
-        return jets.Jet(np.concatenate((self.values(ts)[np.newaxis], tail)))
+    def evaluate(self, t, shared):
+        """Jet of the coordinate over the variable jet t, whose values are 1-D.
 
-    def _taylor_tail(self, ts, order):
-        """Taylor coefficients 1..order at ts: integrand coefficient k-1 over k."""
-        if order < 1:
-            return np.zeros((0, ts.size))
-        k = np.arange(1, order + 1, dtype=float)[:, np.newaxis]
-        return self._integrand_jet(ts, order - 1).coeffs / k
+        shared is the sharing scope of the pass, as for Expr.evaluate.
+        """
+        tail = self._taylor_tail(t, shared)
+        return jets.Jet(np.concatenate((self.values(t.value)[np.newaxis], tail)))
 
-    def _integrand_jet(self, ts, order):
-        tj = jets.variable(ts, order + 1)
+    def _taylor_tail(self, t, shared):
+        """Taylor coefficients 1..K at t's values: integrand coefficient k-1 over k."""
+        K = t.order
+        if K < 1:
+            return np.zeros((0,) + t.shape)
+        k = np.arange(1, K + 1, dtype=float)[:, np.newaxis]
+        return self._integrand_jet(t, shared).coeffs / k
+
+    def _integrand_jet(self, t, shared):
+        """Jet of sum_i y_i x_i' at one order below t.
+
+        Each y_i is evaluated at t's order, where the pass has already built
+        it, and truncated: truncated Taylor arithmetic is causal, so this is
+        the jet that evaluating y_i on a truncated variable gives.
+        """
+        K = t.order - 1
         total = None
         for xe, ye in zip(self.x_exprs, self.y_exprs):
-            term = ye(tj.truncate(order)) * xe(tj).derivative()
+            y = ye.evaluate(t, shared).truncate(K)
+            term = y * xe.evaluate(t, shared).derivative()
             total = term if total is None else total + term
         return total
 
@@ -298,16 +316,12 @@ def sample_grid(spec, m):
 # jet evaluation
 
 
-def _source_jet(c, ts, t):
-    """Jet of one coordinate source; t is the variable jet over ts."""
-    return c.jet(ts, t.order) if isinstance(c, IntegralCoordinate) else c(t)
-
-
 def coordinate_jets(spec, ts, order=6):
     """Jet of all coordinates along the curve; value shape (2n+1, N)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     t = jets.variable(ts, order)
-    return jets.stack([_source_jet(c, ts, t) for c in spec.coords], axis=0)
+    shared = {}
+    return jets.stack([c.evaluate(t, shared) for c in spec.coords], axis=0)
 
 
 def _velocity_jets(spec, ts, order):
@@ -316,17 +330,20 @@ def _velocity_jets(spec, ts, order):
     The velocity equals coordinate_jets(spec, ts, order).derivative() to the
     bit, but a derivative reads only the coefficients above order zero, so
     an integral coordinate outside the y slots gives them from its
-    integrand and is never integrated.
+    integrand and is never integrated.  All coordinates share one scope
+    that lives for this call, so each distinct function call is computed
+    once and the z tail reads the x and y jets already built.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = spec.n
     t = jets.variable(ts, order)
+    shared = {}
     tails, ys = [], []
     for i, c in enumerate(spec.coords):
         if isinstance(c, IntegralCoordinate) and not n <= i < 2 * n:
-            tails.append(c._taylor_tail(ts, order))
+            tails.append(c._taylor_tail(t, shared))
             continue
-        j = _source_jet(c, ts, t)
+        j = c.evaluate(t, shared)
         tails.append(j.coeffs[1:])
         if n <= i < 2 * n:
             ys.append(j)

@@ -14,6 +14,12 @@ parentheses::
 Evaluation is generic over the argument type: pass a float or ndarray to get
 plain values, or a :class:`~contactcurves.jets.Jet` to get exact derivatives
 propagated through the whole tree.
+
+:meth:`Expr.evaluate` takes a sharing scope: a dict, owned by the caller,
+that holds every function call and every whole expression evaluated on one
+variable.  Expressions evaluated in the same scope compute each distinct
+call once, and ``sin`` and ``cos`` of one argument come from a single
+sin/cos recurrence.  Calling an Expr evaluates it in a scope of its own.
 """
 
 from __future__ import annotations
@@ -202,18 +208,22 @@ def _first_bad_t(t, mask):
     return None
 
 
-def _eval(node, t):
+def _order(t):
+    return t.order if isinstance(t, jets.Jet) else None
+
+
+def _eval(node, t, shared):
     tag = node[0]
     if tag == "num":
         return node[1]
     if tag == "t":
         return t
     if tag == "neg":
-        return -_eval(node[1], t)
+        return -_eval(node[1], t, shared)
     if tag == "bin":
         _, op, left, right = node
-        a = _eval(left, t)
-        b = _eval(right, t)
+        a = _eval(left, t, shared)
+        b = _eval(right, t, shared)
         if op == "+":
             return a + b
         if op == "-":
@@ -228,13 +238,33 @@ def _eval(node, t):
             raise EvaluationError("division by zero" + suffix)
         return a / b
     if tag == "pow":
-        base = _eval(node[1], t)
+        base = _eval(node[1], t, shared)
         if isinstance(base, jets.Jet):
             return base**node[2]
         return np.asarray(base, dtype=float) ** node[2]
     if tag == "call":
-        return _FUNCTIONS[node[1]](_eval(node[2], t))
+        return _call(node, t, shared)
     raise AssertionError(f"unhandled node {tag}")
+
+
+def _call(node, t, shared):
+    """A function call, computed once per scope.
+
+    The key is the call's AST and the jet order.  Parser literals are
+    unsigned (a minus sign is a "neg" node), so ASTs that compare equal
+    evaluate identically; 0.0 == -0.0 never merges two different calls.
+    """
+    _, name, arg = node
+    key = (node, _order(t))
+    if key not in shared:
+        x = _eval(arg, t, shared)
+        if name in ("sin", "cos") and isinstance(x, jets.Jet):
+            s, c = jets._sin_cos(x)
+            shared[(("call", "sin", arg), key[1])] = s
+            shared[(("call", "cos", arg), key[1])] = c
+        else:
+            shared[key] = _FUNCTIONS[name](x)
+    return shared[key]
 
 
 class Expr:
@@ -247,18 +277,33 @@ class Expr:
         self.ast = _Parser(text).parse()
 
     def __call__(self, t):
+        return self.evaluate(t, {})
+
+    def evaluate(self, t, shared):
+        """Value of the expression at t, computed in the sharing scope shared.
+
+        shared holds the results of one pass over the single variable t
+        and must not outlive it.  A whole expression is keyed apart from
+        its calls, since a constant call's value is a float while the
+        expression's value follows the shape of t.
+        """
+        key = ("expr", self.ast, _order(t))
+        if key in shared:
+            return shared[key]
         try:
-            out = _eval(self.ast, t)
+            out = _eval(self.ast, t, shared)
         except jets.JetDomainError as err:
             raise EvaluationError(f"{err} while evaluating {self.text!r}") from err
-        if isinstance(out, jets.Jet):
-            return out
         # constant expressions should still follow the argument's shape
         if isinstance(t, jets.Jet):
-            return jets.constant(np.broadcast_to(out, t.shape), t.order)
-        if np.shape(t) == ():
-            return float(out)
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(t)).copy()
+            if not isinstance(out, jets.Jet):
+                out = jets.constant(np.broadcast_to(out, t.shape), t.order)
+        elif np.shape(t) == ():
+            out = float(out)
+        else:
+            out = np.broadcast_to(np.asarray(out, dtype=float), np.shape(t)).copy()
+        shared[key] = out
+        return out
 
     def __repr__(self):
         return f"Expr({self.text!r})"

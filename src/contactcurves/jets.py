@@ -9,7 +9,13 @@ tune anywhere.
 The product and the sin/cos/exp recurrences form each output order with one
 contraction over the order axis (:func:`_convolve`) instead of a Python
 loop over its terms.  The contraction adds the terms in the same order as
-the loop did, so the coefficients are the same to the last bit.
+the loop did, so the coefficients are the same to the last bit.  A
+product's value shape is that of its order-0 contraction.
+
+The sine and cosine of a jet come from one coupled recurrence
+(:func:`_sin_cos`).  :func:`sin` and :func:`cos` each keep half of it;
+expression evaluation in a sharing scope keeps both, so one jet pass over a
+curve runs the recurrence once per distinct argument.
 
 Coefficient arrays may carry trailing value axes (one per grid sample, or per
 vector component), which makes whole-grid curve evaluation a single
@@ -138,9 +144,10 @@ class Jet:
             K = min(self.order, other.order)
             a = self.coeffs
             b = other.coeffs
-            shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-            out = np.empty((K + 1,) + shape)
-            for k in range(K + 1):
+            first = _convolve(a[:1], b[:1])
+            out = np.empty((K + 1,) + first.shape)
+            out[0] = first
+            for k in range(1, K + 1):
                 out[k] = _convolve(a[: k + 1], b[k::-1])
             return Jet(out)
         return Jet(self.coeffs * np.asarray(other, dtype=float))

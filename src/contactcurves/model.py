@@ -280,10 +280,15 @@ def gamma_frame(n: int, t_coeffs, v_coeffs):
         X_i-part      =  b_i w + e beta_i
         X_{n+i}-part  = -(a_i w + e alpha_i)
         xi-part       =  sum_i (a_i beta_i - b_i alpha_i)
+
+    The six products are formed as three over the whole horizontal block,
+    (a, b) w, e (alpha, beta) and (a, b) (beta, alpha), each with its T
+    factor first, so every entry is the product the closed form names.
     """
-    a, b, e = t_coeffs[:n], t_coeffs[n : 2 * n], t_coeffs[2 * n]
-    al, be, w = v_coeffs[:n], v_coeffs[n : 2 * n], v_coeffs[2 * n]
-    return _join(b * w + e * be, -(a * w + e * al), (a * be - b * al).sum(0))
+    h, e, w = t_coeffs[: 2 * n], t_coeffs[2 * n], v_coeffs[2 * n]
+    s = h * w + e * v_coeffs[: 2 * n]                   # (a w + e alpha, b w + e beta)
+    hv = h * v_coeffs[[*range(n, 2 * n), *range(n)]]   # (a beta, b alpha)
+    return _join(s[n:], -s[:n], (hv[:n] - hv[n:]).sum(0))
 
 
 def phi_frame(u, n: int):

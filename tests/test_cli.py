@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +257,16 @@ def test_analyze_rejects_non_unit_speed(tmp_path, capsys):
     rc, _, err = run(["analyze", "--curve", str(path)], capsys)
     assert rc == 2
     assert "not unit speed" in err
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["flow", "--steps", "1"]])
+def test_expression_domain_error_exits_2(capsys, command):
+    path = Path(__file__).resolve().parent / "curves" / "domain_error.txt"
+    rc, out, err = run([*command, "--curve", str(path)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: log of a non-positive jet value while evaluating "
+                   "'log(t-10)'\n")
 
 
 def test_analyze_loose_tol_accepts_near_unit_speed(tmp_path, capsys):

@@ -29,6 +29,10 @@ CURVES = {
     "example": ["--curve", "demos/curves/example.txt"],
     "geodesic": ["--curve", "demos/curves/geodesic.txt"],
 }
+# unit-speed Legendre curves pinned by their analyze reports alone: one whose
+# coordinates share trig arguments and repeat subexpressions, one through
+# exp, log, atan, ^ and division
+REPORT_CURVES = ("tests/curves/shared_trig.txt", "tests/curves/elementary.txt")
 ANALYZE_VARIANTS = (
     ["--c=0.5"],
     ["--c=1"],
@@ -48,6 +52,12 @@ def _argvs():
             out.append(["analyze", *curve, "--grid", "256", *extra])
         out.append(["flow", *curve, "--grid", "64", "--steps", "5"])
     out.append(["analyze", "--grid", "15"])
+    for path in REPORT_CURVES:
+        for grid in ("64", "256"):
+            out.append(["analyze", "--curve", path, "--grid", grid])
+    # a coordinate that leaves the domain of log: one error line, exit 2
+    out.append(["analyze", "--curve", "tests/curves/domain_error.txt"])
+    out.append(["flow", "--curve", "tests/curves/domain_error.txt", "--steps", "1"])
     out.append(["flow", "--curve", "demos/curves/example.txt", "--grid", "64",
                 "--steps", "5", "--delta1=-8", "--delta2=2"])
     for extra in (["--grid", "64"], ["--grid", "256"], ["--grid", "4096"],
@@ -148,6 +158,18 @@ DIGESTS = {
         '9953db1bd97bbdbd17068ef1724b97387ad830b66e52b9e52bda7a4c65606f37',
     'analyze --grid 15':
         '36d080b028619d2d9c357828cd85bfe30c74a2fcf363bf1533a13776d7ebc5cc',
+    'analyze --curve tests/curves/shared_trig.txt --grid 64':
+        'bb0daf6fdaa1efd97d9191b6bf325f3c7a3dcefb533cbefb34203bab7e221d57',
+    'analyze --curve tests/curves/shared_trig.txt --grid 256':
+        '6c1299605ea4b7ae407dcf275ed0aa9cdf7f2cc2b2f11a1ac4c14ca053d964a4',
+    'analyze --curve tests/curves/elementary.txt --grid 64':
+        'ba063077ac0abf3a0f9521dacbdbd81589805646d15e91b7101d59928557b4ac',
+    'analyze --curve tests/curves/elementary.txt --grid 256':
+        '662c873070505d8a942efc8a0b0826a379dcd424d822022f534201bcebcd34d4',
+    'analyze --curve tests/curves/domain_error.txt':
+        '62a60fd0470888ed26326878cc766e953b6c92336865d6646e24f6d5050b6973',
+    'flow --curve tests/curves/domain_error.txt --steps 1':
+        '62a60fd0470888ed26326878cc766e953b6c92336865d6646e24f6d5050b6973',
     'flow --curve demos/curves/example.txt --grid 64 --steps 5 --delta1=-8 --delta2=2':
         'a2281df7f7574372bf2a528cf8d7de922bf19a0e1cbe17fcb19354e736f1fcc3',
     'verify-example --grid 64':

@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from contactcurves import analysis, curves, families, jets
+from contactcurves import analysis, curves, expressions, families, jets
+from contactcurves.cli import load_curve_file
 from contactcurves.curves import (
     CurveError,
     CurveSpec,
@@ -25,7 +27,7 @@ from contactcurves.curves import (
     velocity,
 )
 from contactcurves.discrete import DiscreteCurve
-from contactcurves.expressions import parse
+from contactcurves.expressions import EvaluationError, parse
 from contactcurves.model import from_frame, metric_frame, phi_frame
 
 
@@ -476,6 +478,203 @@ def test_velocity_jets_equal_coordinate_jet_derivative(order):
                           (y.coeffs, cj.coeffs[:, spec.n:2 * spec.n])):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# ---------------------------------------------------------------------------
+# one sharing scope per jet pass, against evaluation with no sharing at all
+
+
+def _unshared_eval(node, t):
+    """Every node of the tree evaluated afresh, as before the sharing scope."""
+    tag = node[0]
+    if tag == "num":
+        return node[1]
+    if tag == "t":
+        return t
+    if tag == "neg":
+        return -_unshared_eval(node[1], t)
+    if tag == "bin":
+        _, op, left, right = node
+        a, b = _unshared_eval(left, t), _unshared_eval(right, t)
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        return a * b if op == "*" else a / b
+    if tag == "pow":
+        base = _unshared_eval(node[1], t)
+        if isinstance(base, jets.Jet):
+            return base ** node[2]
+        return np.asarray(base, dtype=float) ** node[2]
+    return getattr(jets, node[1])(_unshared_eval(node[2], t))
+
+
+def _unshared_jet(expr, t):
+    out = _unshared_eval(expr.ast, t)
+    if isinstance(out, jets.Jet):
+        return out
+    return jets.constant(np.broadcast_to(out, t.shape), t.order)
+
+
+def _unshared_integrand_jet(coord, ts, order):
+    """The z integrand sum_i y_i x_i' with y evaluated on a truncated variable."""
+    tj = jets.variable(ts, order + 1)
+    total = None
+    for xe, ye in zip(coord.x_exprs, coord.y_exprs):
+        y = _unshared_jet(ye, tj.truncate(order))
+        term = y * _unshared_jet(xe, tj).derivative()
+        total = term if total is None else total + term
+    return total
+
+
+def _unshared_tail(coord, ts, order):
+    k = np.arange(1, order + 1, dtype=float)[:, np.newaxis]
+    return _unshared_integrand_jet(coord, ts, order - 1).coeffs / k
+
+
+def _unshared_velocity_jets(spec, ts, order):
+    """curves._velocity_jets with every coordinate and the z tail on its own."""
+    n = spec.n
+    t = jets.variable(ts, order)
+    tails, ys = [], []
+    for i, c in enumerate(spec.coords):
+        if isinstance(c, IntegralCoordinate):
+            if not n <= i < 2 * n:
+                tails.append(_unshared_tail(c, ts, order))
+                continue
+            j = jets.Jet(np.concatenate((c.values(ts)[np.newaxis],
+                                         _unshared_tail(c, ts, order))))
+        else:
+            j = _unshared_jet(c, t)
+        tails.append(j.coeffs[1:])
+        if n <= i < 2 * n:
+            ys.append(j)
+    k = np.arange(1, order + 1, dtype=float)[:, np.newaxis, np.newaxis]
+    return jets.Jet(np.stack(tails, axis=1) * k), jets.stack(ys, axis=0)
+
+
+CURVE_FILES = Path(__file__).resolve().parent / "curves"
+SHARING_CASES = [
+    *(pytest.param(lambda r=r: families.random_legendre_curve(
+        np.random.default_rng(60 + r), r)[0], id=f"random_r{r}")
+      for r in range(1, 5)),
+    pytest.param(families.orthogonal_helix, id="orthogonal_helix"),
+    pytest.param(families.rational_turn, id="rational_turn"),
+    pytest.param(lambda: families.multi_exponential([1.0 / math.sqrt(3.0)] * 3,
+                                                    [1.0, 2.0, 3.0]),
+                 id="three_circle"),
+    pytest.param(lambda: load_curve_file(CURVE_FILES / "shared_trig.txt"),
+                 id="shared_trig"),
+    # one argument repeated across x, y and the z integrand, and inside x
+    pytest.param(lambda: make_legendre(["cos(2*t+1)*sin(2*t+1)+cos(2*t+1)"],
+                                       ["sin(2*t+1)"]), id="shared_trig_legendre"),
+    pytest.param(lambda: load_curve_file(CURVE_FILES / "elementary.txt"),
+                 id="elementary"),
+    pytest.param(lambda: make_legendre(["exp(t/3)-atan(t)^2"],
+                                       ["log(2+t)/(1+t^2)"]),
+                 id="elementary_legendre"),
+    pytest.param(lambda: CurveSpec(1, [
+        "sin(t)", IntegralCoordinate(0.5, [parse("sin(t)")], [parse("t^2")]),
+        "cos(3*t)"]), id="integral_in_y"),
+]
+
+
+@pytest.mark.parametrize("make", SHARING_CASES)
+def test_shared_jet_pass_equals_unshared_evaluation(make):
+    spec = make()
+    ts = np.linspace(0.0, 2.0, 41)
+    for order in range(1, 8):
+        v, y = curves._velocity_jets(spec, ts, order)
+        want_v, want_y = _unshared_velocity_jets(spec, ts, order)
+        _assert_bitwise(v.coeffs, want_v.coeffs)
+        _assert_bitwise(y.coeffs, want_y.coeffs)
+        cj = coordinate_jets(spec, ts, order)
+        _assert_bitwise(cj.derivative().coeffs, want_v.coeffs)
+        _assert_bitwise(cj.coeffs[:, spec.n:2 * spec.n], want_y.coeffs)
+
+
+def _trig_arguments(spec):
+    """Distinct arguments of sin and cos calls in the curve's expressions."""
+    args = set()
+
+    def walk(node):
+        if node[0] == "call" and node[1] in ("sin", "cos"):
+            args.add(node[2])
+        for child in node[1:]:
+            if isinstance(child, tuple):
+                walk(child)
+
+    for c in spec.coords:
+        exprs = ([*c.x_exprs, *c.y_exprs] if isinstance(c, IntegralCoordinate)
+                 else [c])
+        for e in exprs:
+            walk(e.ast)
+    return args
+
+
+def _count_sin_cos(monkeypatch):
+    calls = [0]
+    original = jets._sin_cos
+
+    def counted(u):
+        calls[0] += 1
+        return original(u)
+
+    monkeypatch.setattr(jets, "_sin_cos", counted)
+    return calls
+
+
+def test_one_sin_cos_per_distinct_trig_argument(monkeypatch):
+    # two rotors: x_i and y_i are cos and sin of one argument, and the z
+    # integrand reads both again
+    spec, _ = families.random_legendre_curve(np.random.default_rng(64), 4)
+    distinct = len(_trig_arguments(spec))
+    assert distinct == spec.n == 2
+    calls = _count_sin_cos(monkeypatch)
+    curves._velocity_jets(spec, sample_grid(spec, 64), 5)
+    assert calls[0] == distinct
+
+
+def test_z_tail_evaluates_no_profile_expression_again(monkeypatch):
+    spec, _ = families.random_legendre_curve(np.random.default_rng(64), 4)
+    roots = [c.ast for c in spec.coords[:2 * spec.n]]
+    evaluated = []
+    original = expressions._eval
+
+    def counted(node, *args):
+        if any(node is root for root in roots):
+            evaluated.append(node)
+        return original(node, *args)
+
+    monkeypatch.setattr(expressions, "_eval", counted)
+    curves._velocity_jets(spec, sample_grid(spec, 64), 5)
+    assert len(evaluated) == len(roots)
+
+
+def test_no_sharing_scope_outlives_its_pass(monkeypatch):
+    calls = _count_sin_cos(monkeypatch)
+    counts = []
+    for _ in range(2):
+        # a new CurveSpec with the same texts each time
+        spec, _ = families.random_legendre_curve(np.random.default_rng(64), 4)
+        ts = sample_grid(spec, 64)
+        for _ in range(2):
+            before = calls[0]
+            curves._velocity_jets(spec, ts, 5)
+            counts.append(calls[0] - before)
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 4
+
+
+def test_shared_failure_is_named_by_the_first_coordinate():
+    ts = np.linspace(0.0, 1.0, 17)
+    for spec, text in (
+        (CurveSpec(1, ["3*log(t-10)", "log(t-10)+1", "0"]), "3*log(t-10)"),
+        (make_legendre(["2+log(t-10)"], ["log(t-10)"]), "2+log(t-10)"),
+    ):
+        with pytest.raises(EvaluationError, match=re.escape(
+                f"log of a non-positive jet value while evaluating {text!r}")):
+            curves._velocity_jets(spec, ts, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,45 @@ def test_gamma_frame_matches_table_contraction():
         assert np.allclose(model.gamma_frame(n, a, b), brute, atol=1e-12)
 
 
+def _six_product_gamma_frame(n, t_coeffs, v_coeffs):
+    """gamma_frame as one product per block pair: the reference for the fused body."""
+    a, b, e = t_coeffs[:n], t_coeffs[n : 2 * n], t_coeffs[2 * n]
+    al, be, w = v_coeffs[:n], v_coeffs[n : 2 * n], v_coeffs[2 * n]
+    return model._join(b * w + e * be, -(a * w + e * al), (a * be - b * al).sum(0))
+
+
+def _with_signed_zeros(rng, shape):
+    """Normal draws with about a quarter of the entries set to +0.0 or -0.0."""
+    x = rng.normal(size=shape)
+    x[rng.random(shape) < 0.125] = 0.0
+    x[rng.random(shape) < 0.125] = -0.0
+    return x
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gamma_frame_equals_six_products_bitwise(n):
+    rng = np.random.default_rng(53 + n)
+    dim = 2 * n + 1
+    for shape in ((dim,), (dim, 9)):
+        t, v = _with_signed_zeros(rng, shape), _with_signed_zeros(rng, shape)
+        _assert_bitwise(model.gamma_frame(n, t, v),
+                        _six_product_gamma_frame(n, t, v))
+    for order in range(8):
+        for v_order in (order, order + 1):
+            t = jets.Jet(_with_signed_zeros(rng, (order + 1, dim, 9)))
+            v = jets.Jet(_with_signed_zeros(rng, (v_order + 1, dim, 9)))
+            got = model.gamma_frame(n, t, v)
+            want = _six_product_gamma_frame(n, t, v)
+            assert got.order == want.order == order
+            _assert_bitwise(got.coeffs, want.coeffs)
+
+
 def test_vectorized_frame_change_matches_pointwise():
     rng = np.random.default_rng(37)
     for n in (1, 2, 3):
