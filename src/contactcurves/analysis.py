@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import _curve_frames, _nabla_along, frame_scalars, frenet_apparatus
-from .model import metric_frame, phi_frame, space_form_curvature_frame
+from .model import (eta_frame, metric_frame, phi_frame,
+                    space_form_curvature_frame)
 
 __all__ = [
     "AnalysisError",
@@ -607,6 +608,15 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
 
 @dataclass
 class IndependenceReport:
+    """Verdict of :func:`independence_check`.
+
+    min_singular_value is the smallest eigenvalue, over the grid, of the
+    3x3 Gram matrix of phi T, nabla_T phi T and xi after projection off
+    span{T, E2(, E3)}; 0.0 when the ambient dimension is too small.  It is
+    computed from the Frenet data alone: the curve spec the check takes is
+    not read.
+    """
+
     independent: bool
     min_singular_value: float
     set_size: int
@@ -614,13 +624,90 @@ class IndependenceReport:
     note: str = ""
 
 
+def _sym3_min_eigenvalue(s00, s11, s22, s01, s02, s12):
+    """Smallest eigenvalue of symmetric 3x3 matrices, every sample at once.
+
+    The arguments are the six distinct entries, arrays of one shape.  The
+    trigonometric solution of the characteristic cubic (Smith, CACM 1961)
+    gives every eigenvalue, but one that nearly coincides with another
+    loses half its digits there.  With the spread p and the angle parameter
+    r of that solution, r <= 0 puts the smallest eigenvalue at least 3p/2
+    below the other two, and the cubic gives it to working accuracy.
+    Otherwise the largest is isolated: its eigenvector, read off the
+    adjugate of S - lambda_1 I, is deflated, and the smaller eigenvalue of
+    the 2x2 matrix left on the orthogonal plane is taken in closed form.
+    """
+    q = (s00 + s11 + s22) / 3.0
+    a, b, c = s00 - q, s11 - q, s22 - q
+    p2 = (a * a + b * b + c * c
+          + 2.0 * (s01 * s01 + s02 * s02 + s12 * s12)) / 6.0
+    p = np.sqrt(p2)
+    det = (a * (b * c - s12 * s12) + s01 * (s12 * s02 - s01 * c)
+           + s02 * (s01 * s12 - b * s02))
+    r = np.divide(det, 2.0 * p2 * p, out=np.zeros_like(p), where=p2 > 0.0)
+    theta = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    cubic = q + 2.0 * p * np.cos(theta + 2.0 * np.pi / 3.0)
+
+    lam1 = q + 2.0 * p * np.cos(theta)
+    # the eigenvector of lambda_1: the longest column of adj(S - lambda_1 I),
+    # each column being the cross product of two rows; for a rank-one
+    # adjugate the longest column holds the largest diagonal entry
+    a, b, c = s00 - lam1, s11 - lam1, s22 - lam1
+    A00, A11, A22 = b * c - s12 * s12, a * c - s02 * s02, a * b - s01 * s01
+    A01, A02 = s02 * s12 - s01 * c, s01 * s12 - s02 * b
+    A12 = s01 * s02 - a * s12
+    d0, d1, d2 = np.abs(A00), np.abs(A11), np.abs(A22)
+    col0, col1 = (d0 >= d1) & (d0 >= d2), d1 >= d2
+    x, y, z = (np.where(col0, c0, np.where(col1, c1, c2)) for c0, c1, c2 in
+               ((A00, A01, A02), (A01, A11, A12), (A02, A12, A22)))
+    vv = x * x + y * y + z * z
+    inv = np.divide(1.0, np.sqrt(vv), out=np.zeros_like(vv), where=vv > 0.0)
+    x, y, z = x * inv, y * inv, z * inv
+    # orthonormal basis u, w of the plane orthogonal to the unit (x, y, z)
+    # (Duff et al., JCGT 2017): |sign + z| >= 1, so nothing divides by zero,
+    # and a zero column still gives the orthonormal pair e0, e1
+    sign = np.copysign(1.0, z)
+    h = -1.0 / (sign + z)
+    k = x * y * h
+    u = (1.0 + sign * x * x * h, sign * k, -sign * x)
+    w = (k, sign + y * y * h, -y)
+    Sw = (s00 * w[0] + s01 * w[1] + s02 * w[2],
+          s01 * w[0] + s11 * w[1] + s12 * w[2],
+          s02 * w[0] + s12 * w[1] + s22 * w[2])
+    Su = (s00 * u[0] + s01 * u[1] + s02 * u[2],
+          s01 * u[0] + s11 * u[1] + s12 * u[2],
+          s02 * u[0] + s12 * u[1] + s22 * u[2])
+    g_uu = u[0] * Su[0] + u[1] * Su[1] + u[2] * Su[2]
+    g_ww = w[0] * Sw[0] + w[1] * Sw[1] + w[2] * Sw[2]
+    g_uw = u[0] * Sw[0] + u[1] * Sw[1] + u[2] * Sw[2]
+    mean = 0.5 * (g_uu + g_ww)
+    half = 0.5 * (g_uu - g_ww)
+    radius = np.sqrt(half * half + g_uw * g_uw)
+    # the smaller root without cancellation: det / larger when mean > 0
+    plane = mean - radius
+    np.divide(g_uu * g_ww - g_uw * g_uw, mean + radius, out=plane,
+              where=mean > 0.0)
+    return np.where(r > 0.0, plane, cubic)
+
+
 def independence_check(spec, frenet, tol=1e-8):
     """Pointwise independence of {T, E2, (E3), phi T, nabla_T phi T, xi}.
 
-    Defined for osculating order 2 or 3.  Returns the smallest eigenvalue
-    of the Gram matrix of the set over the grid; a value bounded away from
-    zero certifies independence and hence the dimension bound n >= 2
-    (order 2) or n >= 3 (order 3).
+    Defined for osculating order 2 or 3.  The Frenet frames are
+    orthonormal, so the set is independent exactly where phi T,
+    nabla_T phi T and xi stay independent after projection off
+    span{T, E2(, E3)}.  The reported value is the smallest eigenvalue of
+    their 3x3 Gram matrix over the grid; a value above tol certifies
+    independence and hence the dimension bound n >= 2 (order 2) or n >= 3
+    (order 3).  It is the Schur complement of the frame block in the full
+    Gram matrix of the set, so it is never below that matrix's smallest
+    eigenvalue, and both vanish on the same curves.  Where
+    f = g(phi T, E2) vanishes identically, the frames are orthogonal to
+    all three vectors and the two values are equal.
+
+    spec is not read: everything comes from the jets in frenet.  It stays
+    the first positional parameter because callers, the CLI and the
+    perfbench families jobs among them, pass it there.
     """
     if frenet.r not in (2, 3):
         raise AnalysisError(
@@ -647,18 +734,17 @@ def independence_check(spec, frenet, tol=1e-8):
         )
     Tj = frenet.frame_jets[0].truncate(1)   # only values are read
     phiT_jet = phi_frame(Tj, n)
-    dphiT = _nabla_along(n, Tj, phiT_jet).value
-    N = frenet.ts.size
-    xi_col = np.zeros((dim, N))
-    xi_col[2 * n] = 1.0
-    cols = [frenet.frames[0], frenet.frames[1]]
-    if frenet.r == 3:
-        cols.append(frenet.frames[2])
-    cols += [phiT_jet.value, dphiT, xi_col]
-    A = np.moveaxis(np.stack(cols, axis=2), 1, 0)   # (N, dim, k)
-    G = np.einsum("Nik,Nil->Nkl", A, A)
-    eigs = np.linalg.eigvalsh(G)
-    min_sv = float(np.min(eigs))
+    phiT, dphiT = phiT_jet.value, _nabla_along(n, Tj, phiT_jet).value
+    xi_xi = 1.0
+    for e in frenet.frames:
+        phiT = phiT - metric_frame(phiT, e) * e
+        dphiT = dphiT - metric_frame(dphiT, e) * e
+        xi_xi = xi_xi - eta_frame(e) ** 2
+    # phi T and nabla_T phi T are now orthogonal to the frames, so their
+    # pairing with the projected xi is their eta
+    gram = (metric_frame(phiT, phiT), metric_frame(dphiT, dphiT), xi_xi,
+            metric_frame(phiT, dphiT), eta_frame(phiT), eta_frame(dphiT))
+    min_sv = float(np.min(_sym3_min_eigenvalue(*gram)))
     return IndependenceReport(
         independent=min_sv > tol,
         min_singular_value=min_sv,

@@ -20,7 +20,9 @@ vertex, so the polyline stays (approximately) Legendre without Lagrange
 multipliers; the defect is monitored and reported rather than assumed away.
 
 The energy slope along a variation V equals sigma * 2 * the pairing with
-the analyzer residual, with sigma = +1; see calibrated_sign.
+the analyzer residual, with one global sign sigma = +1 for every curve,
+weight pair and variation; the tests re-derive it on a circle with a known
+nonzero bending residual and check it on random curves and variations.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "discrete_residual",
     "energy_gradient",
     "first_variation_check",
-    "calibrated_sign",
     "descend",
 ]
 
@@ -369,34 +370,21 @@ class VariationReport:
     eps: float
 
 
-def calibrated_sign():
-    """The global sign relating energy slope and residual pairing: +1.
-
-    The slope of the discrete energy along a variation V is
-    sigma * 2 * integral <residual, V>, with one sign for every curve,
-    weight pair and variation.  The tests re-derive it on a circle with a
-    known nonzero bending residual and check that this single value covers
-    random curves and variations.
-    """
-    return 1
-
-
 def first_variation_check(spec, delta, V, N=256, eps=1e-4, c=-3.0):
     """Compare the discrete energy slope along V with the analyzer pairing.
 
     V is either a callable t -> coordinate components or an array of
     samples (dim, N).  It is projected onto the contact planes first; on
     open curves it must vanish near the endpoints.  The two numbers agree
-    up to O(h^2 + eps^2) when the implementation is consistent, and their
-    ratio fixes the calibrated sign.
+    up to O(h^2 + eps^2) when the implementation is consistent, with the
+    global sign sigma = +1.
     """
     slope, pairing = _variation_data(spec, delta, V, N, eps, c)
-    sigma = calibrated_sign()
     return VariationReport(
         slope=slope,
         pairing=pairing,
-        sigma=sigma,
-        difference=abs(slope - sigma * 2.0 * pairing),
+        sigma=1,
+        difference=abs(slope - 2.0 * pairing),
         h=(spec.period / N) if spec.closed else spec.period / (N - 1),
         eps=eps,
     )

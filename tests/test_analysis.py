@@ -14,7 +14,7 @@ import io
 import numpy as np
 import pytest
 
-from contactcurves import analysis, cli, curves, families
+from contactcurves import analysis, cli, curves, families, model
 
 
 def grid(spec, m=128):
@@ -460,13 +460,131 @@ def test_solve_generic_nonconstant():
 # independence of the derived frame
 
 
+def full_gram_min_eigenvalue(fr):
+    """Oracle: smallest eigenvalue of the full Gram matrix of the set.
+
+    One k x k Gram matrix of {T, E2, (E3), phi T, nabla_T phi T, xi} per
+    sample, solved by LAPACK.
+    """
+    n, N = fr.n, fr.ts.size
+    Tj = fr.frame_jets[0].truncate(1)
+    phiT = model.phi_frame(Tj, n)
+    xi = np.zeros((2 * n + 1, N))
+    xi[2 * n] = 1.0
+    cols = [*fr.frames, phiT.value, curves._nabla_along(n, Tj, phiT).value, xi]
+    A = np.stack(cols, axis=2)                       # (dim, N, k)
+    return float(np.min(np.linalg.eigvalsh(np.einsum("iNk,iNl->Nkl", A, A))))
+
+
+def six_entries(S):
+    return [S[..., i, j] for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
+
+
+def random_psd(rng, kind):
+    if kind == "diagonal":
+        return np.diag(rng.uniform(0.0, 2.0, 3))
+    if kind == "identity":
+        return np.eye(3) * rng.uniform(0.1, 2.0)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    lam = np.sort(rng.uniform(0.0, 2.0, 3))
+    if kind == "rank1":
+        lam[:2] = 0.0
+    elif kind == "rank2":
+        lam[0] = 0.0
+    elif kind == "double-low":
+        lam[1] = lam[0]
+    elif kind == "double-high":
+        lam[2] = lam[1]
+    elif kind == "gram":
+        X = rng.normal(size=(3, 3))
+        return X @ X.T
+    return (Q * lam) @ Q.T
+
+
+PSD_KINDS = ["gram", "diagonal", "identity", "rank1", "rank2", "double-low",
+             "double-high"]
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+@pytest.mark.parametrize("kind", PSD_KINDS)
+def test_sym3_min_eigenvalue_matches_eigvalsh(kind, scale):
+    rng = np.random.default_rng(PSD_KINDS.index(kind))
+    S = np.array([random_psd(rng, kind) for _ in range(200)]) * scale
+    got = analysis._sym3_min_eigenvalue(*six_entries(S))
+    want = np.linalg.eigvalsh(S)[:, 0]
+    norm = np.linalg.norm(S, 2, axis=(1, 2))
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, norm))
+
+
+def test_sym3_min_eigenvalue_edges():
+    # p = 0 gives the common diagonal exactly, zero included
+    S = np.array([np.eye(3) * 2.5, np.zeros((3, 3)), np.diag([3.0, 1.0, 2.0]),
+                  np.diag([0.0, 4.0, 4.0]), np.diag([1.0, 1.0, 7.0])])
+    got = analysis._sym3_min_eigenvalue(*six_entries(S))
+    assert got[:2].tolist() == [2.5, 0.0]
+    assert np.allclose(got[2:], [1.0, 0.0, 1.0], rtol=0.0, atol=1e-15 * 7.0)
+
+
+def _independence_curves():
+    rng = np.random.default_rng(13)
+    example = curves.CurveSpec(2, ["sin(2*t)", "-cos(2*t)", "0", "0", "1"])
+    out = [pytest.param(example, id="example")]
+    for phases in [(0.0, 0.0, 0.0), (0.3, 1.1, 2.0), (1.0, -0.4, 0.7)]:
+        out.append(pytest.param(families.orthogonal_helix(1.2, 1.6, phases=phases),
+                                id=f"orthogonal-helix{phases}"))
+    for i in range(3):
+        k1, k2 = rng.uniform(0.5, 2.5, 2)
+        phases = tuple(rng.uniform(0.0, 2 * np.pi, 3))
+        out.append(pytest.param(families.orthogonal_helix(k1, k2, phases=phases),
+                                id=f"orthogonal-helix-{i}"))
+        spec, _ = families.random_legendre_curve(rng, r=2)
+        out.append(pytest.param(spec, id=f"random-circle-{i}"))
+        # random_legendre_curve's circle (r = 2) and helix (r = 3) lifted to
+        # n = 3 by a third, silent complex axis
+        k1, mu = rng.uniform(0.5, 3.0, 2)
+        out.append(pytest.param(families.multi_exponential(
+            (np.sqrt(0.5), np.sqrt(0.5), 0.0), (k1, -k1, 0.0), phases=phases),
+            id=f"circle-n3-{i}"))
+        out.append(pytest.param(families.multi_exponential(
+            (1.0, 0.0, 0.0), (mu, 0.0, 0.0), phases=phases), id=f"helix-n3-{i}"))
+    return out
+
+
+@pytest.mark.parametrize("spec", _independence_curves())
+def test_independence_matches_full_gram_oracle(spec):
+    fr, sc = frenet_pair(spec, grid(spec, 96))
+    assert fr.r in (2, 3) and fr.dim >= fr.r + 3
+    rep = analysis.independence_check(spec, fr)
+    oracle = full_gram_min_eigenvalue(fr)
+    # the complement's eigenvalue never falls below the full Gram's
+    assert rep.min_singular_value >= oracle - 1e-14
+    assert rep.independent == (oracle > 1e-8)
+    if not rep.independent:
+        assert abs(rep.min_singular_value) <= 1e-12
+    elif np.max(np.abs(sc.f)) < 1e-12:
+        # f = 0 throughout: the frames are orthogonal to the other three
+        assert abs(rep.min_singular_value - oracle) <= 1e-13 * oracle
+
+
+def test_independence_needs_no_lapack(monkeypatch, example_curve, example_grid):
+    fr = curves.frenet_apparatus(example_curve, example_grid)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("independence_check called LAPACK")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    rep = analysis.independence_check(example_curve, fr)
+    assert rep.independent
+
+
 def test_independence_example(example_curve, example_grid):
     fr = curves.frenet_apparatus(example_curve, example_grid)
     rep = analysis.independence_check(example_curve, fr)
     assert rep.independent
     assert rep.set_size == 5
     # min eigenvalue of the Gram matrix is 3 - sqrt(5) (hand computation)
-    assert abs(rep.min_singular_value - (3.0 - np.sqrt(5.0))) < 1e-9
+    assert abs(rep.min_singular_value - (3.0 - np.sqrt(5.0))) < 1e-15
 
 
 def test_independence_orthogonal_helix():
@@ -495,7 +613,7 @@ def test_independence_degenerate():
     fr = curves.frenet_apparatus(spec, grid(spec))
     rep = analysis.independence_check(spec, fr)
     assert not rep.independent
-    assert rep.min_singular_value < 1e-8
+    assert abs(rep.min_singular_value) <= 1e-12
 
 
 def test_independence_requires_low_order():
