@@ -717,7 +717,7 @@ def independence_check(spec, frenet, tol=1e-8):
     n = frenet.n
     dim = 2 * n + 1
     size = frenet.r + 3
-    bound = (size + 1) // 2  # smallest n with 2n+1 >= size
+    bound = size // 2  # smallest n with 2n+1 >= size
     if dim < size:
         return IndependenceReport(
             independent=False,

@@ -190,7 +190,7 @@ def cmd_analyze(args):
         verdict = "required ratio violates the case constraints"
 
     if frenet.r in (2, 3):
-        ind = analysis.independence_check(spec, frenet)
+        ind = analysis.independence_check(spec, frenet, tol=args.tol)
         independence = {
             "applicable": True,
             "independent": ind.independent,

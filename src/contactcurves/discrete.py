@@ -15,9 +15,15 @@ measure by Richardson ratios.
 The gradient of the discrete energy is exact: one forward pass through the
 chord frames and vertex tensions, then the adjoint of the same local
 stencils in reverse order, so a gradient costs O(N) like the energy itself.
+Each polyline's chord frames and vertex tensions are built once, and the
+energy, residual and gradient all read that one build.  A closed polyline
+is padded with its wraparound column by one concatenation and then runs
+the open-curve slice stencils, so both kinds share one set of differences.
 Descent steps are projected onto the kernel of the contact form at each
 vertex, so the polyline stays (approximately) Legendre without Lagrange
 multipliers; the defect is monitored and reported rather than assumed away.
+Each accepted iterate's energy, chord defect, residual and next gradient
+come from the stencils its line-search trial already built.
 
 The energy slope along a variation V equals sigma * 2 * the pairing with
 the analyzer residual, with one global sign sigma = +1 for every curve,
@@ -45,6 +51,7 @@ __all__ = [
     "DescentResult",
     "discrete_energy",
     "discrete_residual",
+    "max_residual_norm",
     "energy_gradient",
     "first_variation_check",
     "descend",
@@ -124,14 +131,10 @@ class DiscreteCurve:
         for open ones.  Raises on a degenerate segment, since the polyline
         then has no usable direction there.
         """
-        p = self.points
+        p = _wrap(self.points, after=1) if self.closed else self.points
         y = p[self.n:2 * self.n]
-        if self.closed:
-            dp = (np.roll(p, -1, axis=1) - p) / self.h
-            ybar = 0.5 * (y + np.roll(y, -1, axis=1))
-        else:
-            dp = np.diff(p, axis=1) / self.h
-            ybar = 0.5 * (y[:, :-1] + y[:, 1:])
+        dp = (p[:, 1:] - p[:, :-1]) / self.h
+        ybar = 0.5 * (y[:, :-1] + y[:, 1:])
         lengths = np.linalg.norm(dp, axis=0) * self.h
         scale = max(1.0, float(np.abs(p).max()))
         bad = np.nonzero(lengths < 1e-13 * scale)[0]
@@ -173,6 +176,37 @@ class EnergyBreakdown:
         return self.dirichlet + self.bending
 
 
+def _wrap(a, before=0, after=0):
+    """Columns of a with its last `before` columns in front and first `after` behind.
+
+    Pads a closed polyline's per-chord or per-vertex rows so the open-curve
+    slice stencils cover the wraparound too.
+    """
+    return np.concatenate([a[:, a.shape[1] - before:], a, a[:, :after]], axis=1)
+
+
+@dataclass(frozen=True)
+class _Stencils:
+    """One polyline's chord and vertex data, built once and only read after.
+
+    dp and ybar are the chord velocities and midpoint y rows, u their frame
+    coefficients, tau and T the vertex tensions and tangents.
+    """
+
+    dp: np.ndarray
+    ybar: np.ndarray
+    u: np.ndarray
+    tau: np.ndarray
+    T: np.ndarray
+
+
+def _stencils(curve: DiscreteCurve) -> _Stencils:
+    dp, ybar = curve._chords()
+    u = to_frame(dp, ybar, curve.n)
+    tau, T = _vertex_tension(curve, u)
+    return _Stencils(dp, ybar, u, tau, T)
+
+
 def _vertex_tension(curve: DiscreteCurve, u):
     """Discrete nabla_T T at vertices, shape (dim, K).
 
@@ -181,53 +215,54 @@ def _vertex_tension(curve: DiscreteCurve, u):
     returns the vertex tangents used for curvature terms downstream.
     """
     if curve.closed:
-        u_prev = np.roll(u, 1, axis=1)
-        du = (u - u_prev) / curve.h
-        T = 0.5 * (u + u_prev)
-    else:
-        du = (u[:, 1:] - u[:, :-1]) / curve.h
-        T = 0.5 * (u[:, 1:] + u[:, :-1])
+        u = _wrap(u, before=1)
+    du = (u[:, 1:] - u[:, :-1]) / curve.h
+    T = 0.5 * (u[:, 1:] + u[:, :-1])
     tau = du + gamma_frame(curve.n, T, T)
     return tau, T
 
 
-def discrete_energy(curve: DiscreteCurve, delta) -> EnergyBreakdown:
-    """Composite-midpoint discretization of the two energy terms."""
+def _energy(curve: DiscreteCurve, st: _Stencils, delta) -> EnergyBreakdown:
     d1, d2 = float(delta[0]), float(delta[1])
-    u = curve.chord_frames()
-    dirichlet = d1 * curve.h * float(np.sum(u * u))
-    tau, _T = _vertex_tension(curve, u)
-    bending = d2 * curve.h * float(np.sum(tau * tau))
+    dirichlet = d1 * curve.h * float(np.sum(st.u * st.u))
+    bending = d2 * curve.h * float(np.sum(st.tau * st.tau))
     return EnergyBreakdown(dirichlet=dirichlet, bending=bending)
 
 
-def _covariant_difference(curve, vertex_field, u):
+def discrete_energy(curve: DiscreteCurve, delta) -> EnergyBreakdown:
+    """Composite-midpoint discretization of the two energy terms."""
+    return _energy(curve, _stencils(curve), delta)
+
+
+def _covariant_difference(n, h, field, chords, tangents):
     """One centered covariant differencing pass, vertices -> vertices.
 
-    Differences a vertex field to segment midpoints (using the chord
-    velocity there), then back; each pass costs one vertex on both sides
-    of an open curve.
+    Differences a vertex field to the midpoints of the chords between its
+    columns, whose frame velocities are `chords`, then back to its inner
+    columns, whose vertex tangents are `tangents`; each pass costs one
+    column on both sides.
     """
-    n, h = curve.n, curve.h
-    if curve.closed:
-        v_next = np.roll(vertex_field, -1, axis=1)
-        mid = (v_next - vertex_field) / h + gamma_frame(
-            n, u, 0.5 * (vertex_field + v_next)
-        )
-        mid_prev = np.roll(mid, 1, axis=1)
-        u_vertex = 0.5 * (u + np.roll(u, 1, axis=1))
-        return (mid - mid_prev) / h + gamma_frame(
-            n, u_vertex, 0.5 * (mid + mid_prev)
-        )
-    # open: vertex_field sits on vertices 1..N-2, chords u on segments 0..N-2
-    inner_u = u[:, 1:-1]
-    mid = (vertex_field[:, 1:] - vertex_field[:, :-1]) / h + gamma_frame(
-        n, inner_u, 0.5 * (vertex_field[:, 1:] + vertex_field[:, :-1])
+    mid = (field[:, 1:] - field[:, :-1]) / h + gamma_frame(
+        n, chords, 0.5 * (field[:, 1:] + field[:, :-1])
     )
-    u_vertex = 0.5 * (inner_u[:, 1:] + inner_u[:, :-1])
     return (mid[:, 1:] - mid[:, :-1]) / h + gamma_frame(
-        n, u_vertex, 0.5 * (mid[:, 1:] + mid[:, :-1])
+        n, tangents, 0.5 * (mid[:, 1:] + mid[:, :-1])
     )
+
+
+def _residual(curve: DiscreteCurve, st: _Stencils, delta, c):
+    d1, d2 = float(delta[0]), float(delta[1])
+    tau, T = st.tau, st.T
+    if curve.closed:
+        tau2 = _covariant_difference(curve.n, curve.h, _wrap(tau, 1, 1),
+                                     _wrap(st.u, before=1), T)
+    else:
+        # tau sits on vertices 1..N-2 with chords 1..N-3 between them; two
+        # stencil layers leave vertices 2..N-3
+        tau2 = _covariant_difference(curve.n, curve.h, tau, st.u[:, 1:-1], T[:, 1:-1])
+        tau, T = tau[:, 1:-1], T[:, 1:-1]
+    curv = space_form_curvature_frame(c, T, tau, T, curve.n)
+    return d2 * (tau2 - curv) - d1 * tau
 
 
 def discrete_residual(curve: DiscreteCurve, delta, c=-3.0):
@@ -238,35 +273,25 @@ def discrete_residual(curve: DiscreteCurve, delta, c=-3.0):
     is the discrete counterpart of the analyzer's direct route and is
     what descent trajectories report.
     """
-    d1, d2 = float(delta[0]), float(delta[1])
-    u = curve.chord_frames()
-    tau, T = _vertex_tension(curve, u)
-    tau2 = _covariant_difference(curve, tau, u)
-    if not curve.closed:
-        tau, T = tau[:, 1:-1], T[:, 1:-1]
-    curv = space_form_curvature_frame(c, T, tau, T, curve.n)
-    return d2 * (tau2 - curv) - d1 * tau
+    return _residual(curve, _stencils(curve), delta, c)
+
+
+def _max_residual_norm(curve: DiscreteCurve, st: _Stencils, delta, c):
+    return float(np.linalg.norm(_residual(curve, st, delta, c), axis=0).max())
 
 
 def max_residual_norm(curve: DiscreteCurve, delta, c=-3.0):
-    res = discrete_residual(curve, delta, c=c)
-    return float(np.linalg.norm(res, axis=0).max())
+    """Largest frame norm of discrete_residual over its vertices.
 
-
-def energy_gradient(curve: DiscreteCurve, delta):
-    """Exact gradient of discrete_energy(curve, delta).total, shape (dim, N).
-
-    Reverse-mode sweep through the stencils of discrete_energy: from the
-    vertex tensions through the connection term Gamma(T, T), the centered
-    difference and the average to the chord frames, then through the frame
-    change to the chord differences and midpoints, and onto the vertices.
-    Endpoint columns of an open curve are fixed and come back zero.
+    This is the analyzer_residual column of a descent row.
     """
+    return _max_residual_norm(curve, _stencils(curve), delta, c)
+
+
+def _energy_gradient(curve: DiscreteCurve, st: _Stencils, delta):
     d1, d2 = float(delta[0]), float(delta[1])
     n, h = curve.n, curve.h
-    dp, ybar = curve._chords()
-    u = to_frame(dp, ybar, n)
-    tau, T = _vertex_tension(curve, u)
+    dp, ybar, u, tau, T = st.dp, st.ybar, st.u, st.tau, st.T
 
     # tau = du + Gamma(T, T), where Gamma(T, T) = (2e b, -2e a, 0) for T = (a, b, e)
     g_tau = 2.0 * d2 * h * tau
@@ -282,7 +307,7 @@ def energy_gradient(curve: DiscreteCurve, delta):
     g_prev = 0.5 * g_T - g_tau / h
     g_u = 2.0 * d1 * h * u
     if curve.closed:
-        g_u += g_next + np.roll(g_prev, -1, axis=1)
+        g_u += g_next + _wrap(g_prev, after=1)[:, 1:]
     else:
         g_u[:, 1:] += g_next
         g_u[:, :-1] += g_prev
@@ -301,10 +326,22 @@ def energy_gradient(curve: DiscreteCurve, delta):
     g_head[n:2 * n] += 0.5 * g_ybar
     g_tail[n:2 * n] += 0.5 * g_ybar
     if curve.closed:
-        return g_tail + np.roll(g_head, 1, axis=1)
+        return g_tail + _wrap(g_head, before=1)[:, :-1]
     grad = np.zeros_like(curve.points)
     grad[:, 1:-1] = g_tail[:, 1:] + g_head[:, :-1]
     return grad
+
+
+def energy_gradient(curve: DiscreteCurve, delta):
+    """Exact gradient of discrete_energy(curve, delta).total, shape (dim, N).
+
+    Reverse-mode sweep through the stencils of discrete_energy: from the
+    vertex tensions through the connection term Gamma(T, T), the centered
+    difference and the average to the chord frames, then through the frame
+    change to the chord differences and midpoints, and onto the vertices.
+    Endpoint columns of an open curve are fixed and come back zero.
+    """
+    return _energy_gradient(curve, _stencils(curve), delta)
 
 
 def _project_contact(curve: DiscreteCurve, disp):
@@ -413,6 +450,12 @@ class DescentResult:
         return [row.energy for row in self.rows]
 
 
+def _descent_row(step, curve, st, energy, delta, c):
+    """The row of an iterate, read off the stencils its energy came from."""
+    defect = float(np.abs(st.u[2 * curve.n]).max())
+    return DescentRow(step, energy, defect, _max_residual_norm(curve, st, delta, c))
+
+
 def descend(curve: DiscreteCurve, delta, steps=50, rate=0.05, c=-3.0,
             shrink=0.5) -> DescentResult:
     """Projected gradient descent with a backtracking line search.
@@ -424,10 +467,11 @@ def descend(curve: DiscreteCurve, delta, steps=50, rate=0.05, c=-3.0,
     instead of looping forever.
     """
     cur = curve.copy()
-    energy = discrete_energy(cur, delta).total
-    rows = [DescentRow(0, energy, cur.max_defect(), max_residual_norm(cur, delta, c))]
+    st = _stencils(cur)
+    energy = _energy(cur, st, delta).total
+    rows = [_descent_row(0, cur, st, energy, delta, c)]
     for step in range(1, steps + 1):
-        grad = energy_gradient(cur, delta)
+        grad = _energy_gradient(cur, st, delta)
         direction = _project_contact(cur, -grad)
         if not cur.closed:
             direction[:, 0] = 0.0
@@ -439,7 +483,8 @@ def descend(curve: DiscreteCurve, delta, steps=50, rate=0.05, c=-3.0,
         alpha = rate
         while True:
             trial = DiscreteCurve(cur.points + alpha * direction, cur.n, cur.h, cur.closed)
-            trial_energy = discrete_energy(trial, delta).total
+            trial_st = _stencils(trial)
+            trial_energy = _energy(trial, trial_st, delta).total
             if trial_energy <= energy - 1e-4 * alpha * slope:
                 break
             alpha *= shrink
@@ -448,7 +493,6 @@ def descend(curve: DiscreteCurve, delta, steps=50, rate=0.05, c=-3.0,
                     cur, rows, stopped=True,
                     diagnostic=f"line search step underflow at step {step}",
                 )
-        cur, energy = trial, trial_energy
-        rows.append(DescentRow(step, energy, cur.max_defect(),
-                               max_residual_norm(cur, delta, c)))
+        cur, st, energy = trial, trial_st, trial_energy
+        rows.append(_descent_row(step, cur, st, energy, delta, c))
     return DescentResult(cur, rows)

@@ -583,6 +583,7 @@ def test_independence_example(example_curve, example_grid):
     rep = analysis.independence_check(example_curve, fr)
     assert rep.independent
     assert rep.set_size == 5
+    assert rep.implied_n_bound == 2  # 2n+1 = 5 already holds the order-2 set
     # min eigenvalue of the Gram matrix is 3 - sqrt(5) (hand computation)
     assert abs(rep.min_singular_value - (3.0 - np.sqrt(5.0))) < 1e-15
 

@@ -202,6 +202,22 @@ def test_analyze_example_fields(capsys):
     assert report["independence"]["min_singular_value"] > 0.1
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_analyze_independence_follows_tol(monkeypatch, capsys, tol):
+    seen = []
+    check = analysis.independence_check
+
+    def spy(spec, frenet, tol=1e-8):
+        seen.append(tol)
+        return check(spec, frenet, tol=tol)
+
+    monkeypatch.setattr(analysis, "independence_check", spy)
+    rc, out, _ = run(["analyze", "--grid", "64", f"--tol={tol}"], capsys)
+    assert rc == 0
+    assert seen == [tol]
+    assert json.loads(out)["independence"]["independent"] is True
+
+
 def test_analyze_curve_file_matches_builtin(tmp_path, capsys):
     path = tmp_path / "example.txt"
     path.write_text(EXAMPLE_FILE)

@@ -5,8 +5,9 @@ hashes its exit code, stdout and stderr with SHA-256.  The expected digests
 below were recorded from the program as it stood before the frame-coefficient
 algebra was merged into ``model.py``; a refactor must leave every one of them
 unchanged.  The analyze reports of the built-in and example curves were
-re-recorded once since then, when their ``min_singular_value`` moved by one
-ulp to the correctly rounded 3 - sqrt(5).
+re-recorded twice since then: when their ``min_singular_value`` moved by one
+ulp to the correctly rounded 3 - sqrt(5), and when their ``implied_n_bound``
+for the order-2 set went from 3 to the correct n >= 2.
 
 A change that alters CLI output on purpose re-records the digests by running
 this file as a script (``PYTHONPATH=src python tests/test_cli_bytes.py``),
@@ -99,43 +100,43 @@ def digest(argv):
 
 DIGESTS = {
     'analyze --grid 64':
-        'bb8747854e8750d5bd8ffa6f0e2da8472a8ef109a1df91f260f67c69272b3673',
+        'cde258a495d31a03bf25eacffa98fb69bb03f3f3cb7723c169818e3709e0c9d6',
     'analyze --grid 256':
-        '6f324678a94229806c8850d85bb469bd0b4e80d684c97093e8642fba0193d64d',
+        '4977580237d2675c04a2996ad6e6894041bcc5f13471b8d5bb5c8524f0dbbfb1',
     'analyze --grid 4096':
-        'da0ed7047a79fa923f2f776063fa2e87e6bade3532c5b100ce1a773a5ba1d870',
+        'f01325dc9f4746805532bbb5e32ae15f9fb10acd1b3b5678ea08b5f638869075',
     'analyze --grid 256 --c=0.5':
-        '7ed9050dba7d1063828c070c9f1c86b6d3146fc8d94a38c7fa958fb5b71600ce',
+        '11069215212e7d029bdbcf160c0b1bfc0cf4cab96a48643e56349f1b9ef10640',
     'analyze --grid 256 --c=1':
-        '71610409476732fd9fb0264b9c363e463b501331b8427a98fdcc3ee148cfaec2',
+        '7ea050f5a2155a4121d4aad072acd6b2b6068ae213aa505a86075d62c4491b37',
     'analyze --grid 256 --delta1=-8 --delta2=2':
-        '8ce44d18386c880c53c885fea6de4247476724e912ade2e6fb4d1fbb9022674e',
+        '818944d69876093c562e3e03877de2bde086389391531f0bcabdb0ac64bb2d4c',
     'analyze --grid 256 --delta1=1.5 --delta2=-0.25':
-        '409bc212fad844ec2cde2f5035eda9ff5a15b5d0d95399c8279daae937acccc4',
+        '8bd0ff1adb78f7bb01e052d2d7062d97efb969feef23369309a789976377d281',
     'analyze --grid 256 --tol=1e-9':
-        '0d741fb86ef9bffb6cd95ac7fda071c3c546cf4b53d9be40c4e111687c5787fe',
+        'a16881a59b4e5ad47da250023a4f172fd207e8f063678e0c78d2e3283ceefc27',
     'analyze --grid 256 --tol=1e-3':
-        '536f02e0237ec3f47ce56ce6ed5461514e1040bf54d475b564e304af7e534f4d',
+        'b0d0492f8ae9c5c5c28812ec42f041083369eb03f1549255577dd0eef03201d0',
     'flow --grid 64 --steps 5':
         'f5ba184186f6a28fc28f16fc13fea6fe1c9c324339af80a0a5c7ca82aa8794e2',
     'analyze --curve demos/curves/example.txt --grid 64':
-        '4d0ca0f7bf00ded3eba99ce973ad045bdb75e303f5984d839e3e4d704ae43059',
+        'e17feb66a73164165a8dc8606f70174480227e6b1a5f85dd5415109ed4f65abc',
     'analyze --curve demos/curves/example.txt --grid 256':
-        'd247466ae8b999b110fe9ed85d6fd84848627a5ffcb7e2b8fd24f9cd41152628',
+        '7dda90856956cd977b35fb21b0ab95df692222fa5caa4993669c1b444b1b4492',
     'analyze --curve demos/curves/example.txt --grid 4096':
-        'a30f79e3043459821ae4967587f72f13f80deaa8dd69a0964adaccf1862cb432',
+        '2139d47118805482c8346a346b32d491195606b20670c8a7f83e6479a0ccf652',
     'analyze --curve demos/curves/example.txt --grid 256 --c=0.5':
-        'f3c8a9c4b850069adcc9f65a05c3374e0ab08b999437f5e64642f4c0ad049fa4',
+        'cfd545a9e4434dd13a24df9b4f6b1191958456061c335483528b37795e958b4a',
     'analyze --curve demos/curves/example.txt --grid 256 --c=1':
-        '051568ce74365508579dbbaf6cac9702ea94832ce41d839027bbcd3c33a9fa65',
+        'a5b4b18d324980b52c51a3a288aff150854e837bae15c2adc2b4039fd4892f56',
     'analyze --curve demos/curves/example.txt --grid 256 --delta1=-8 --delta2=2':
-        'ec23e19f5f6fbcca162e36dd72d4c38a2fa6840f3122da0cbacdc2dd2174d5a5',
+        '3cbbb28e62a4c0f549a4312e09281ea1229817c8499cc7d4d731497b0414e2a1',
     'analyze --curve demos/curves/example.txt --grid 256 --delta1=1.5 --delta2=-0.25':
-        'e24152f8a677151e139d2e714f260803e7499c4bf4005bfdc29b9421d52c553c',
+        'bd9e128b70a35fddb73b97b1979fd6164706fd454e027c719c1d2dba3a0dccff',
     'analyze --curve demos/curves/example.txt --grid 256 --tol=1e-9':
-        '56ef16e265bb688e97c23c8bdab507f198208ac6fd0365a4ed471494ffe332d6',
+        'e8b7a44df4d5251d7cad02762bbe5b1da8f0e18bc5ac934c0415ab3093884cf1',
     'analyze --curve demos/curves/example.txt --grid 256 --tol=1e-3':
-        '43896ac4b940274957a2fc148f3eb7cec944648451c5eef719a6dec8a80690e7',
+        '71b5b29a8f6f0fc5e9d15281cb236c01bbd5a0347be7db21145997b94d64e909',
     'flow --curve demos/curves/example.txt --grid 64 --steps 5':
         'f5ba184186f6a28fc28f16fc13fea6fe1c9c324339af80a0a5c7ca82aa8794e2',
     'analyze --curve demos/curves/geodesic.txt --grid 64':

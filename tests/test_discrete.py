@@ -255,12 +255,12 @@ def test_descend_underflow_diagnostic(monkeypatch):
     geo = families.geodesic((1.0, 0.0, 0.0, 0.0))
     dg = discrete.DiscreteCurve.from_spec(geo, 16, span=(0.0, 2.0))
 
-    def uphill(curve, delta, step=1e-6):
+    def uphill(curve, stencils, delta):
         g = np.zeros_like(curve.points)
         g[0, 5] = 100.0
         return g
 
-    monkeypatch.setattr(discrete, "energy_gradient", uphill)
+    monkeypatch.setattr(discrete, "_energy_gradient", uphill)
     res = discrete.descend(dg, (1.0, 0.0), steps=3, rate=0.5)
     assert res.stopped
     assert "underflow" in res.diagnostic
@@ -272,3 +272,47 @@ def test_descent_rows_are_csv_ready():
     assert [row.step for row in res.rows] == list(range(len(res.rows)))
     for row in res.rows:
         assert np.isfinite([row.energy, row.max_defect, row.analyzer_residual]).all()
+
+
+def test_descend_builds_each_polyline_once(monkeypatch):
+    # every curve descend makes (its copy and one per line-search trial)
+    # gets its chords built exactly once; rows and gradients reuse them
+    built, chords = [], []
+    post_init, chords_of = discrete.DiscreteCurve.__post_init__, discrete.DiscreteCurve._chords
+
+    def counting_init(self):
+        built.append(1)
+        post_init(self)
+
+    def counting_chords(self):
+        chords.append(1)
+        return chords_of(self)
+
+    base = circle_curve(32)
+    base.points += 0.01 * np.random.default_rng(7).standard_normal(base.points.shape)
+    monkeypatch.setattr(discrete.DiscreteCurve, "__post_init__", counting_init)
+    monkeypatch.setattr(discrete.DiscreteCurve, "_chords", counting_chords)
+    res = discrete.descend(base, (1.0, 1.0), steps=4, rate=0.05)
+    assert len(res.rows) == 5
+    assert len(built) > 5  # the copy, one trial per step, and backtracks
+    assert len(chords) == len(built)
+
+
+@pytest.mark.parametrize("delta", [(0.0, 1.0), (-8.0, 2.0)])
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+@pytest.mark.parametrize("spec", [
+    curves.make_legendre(["cos(t)"], ["sin(2*t)"]),
+    families.circle(2.0),
+    families.orthogonal_helix(),
+], ids=["n1", "n2", "n3"])
+def test_descend_rows_match_fresh_evaluation(spec, closed, delta):
+    span = None if closed else (0.2, 2.6)   # the three specs are tagged closed
+    dc = discrete.DiscreteCurve.from_spec(spec, 32, span=span)
+    assert dc.closed == closed
+    dc.points += 1e-3 * np.random.default_rng(11).standard_normal(dc.points.shape)
+    res = discrete.descend(dc, delta, steps=3, rate=0.01, c=-1.0)
+    last = res.rows[-1]
+    assert last.step >= 1  # an accepted line-search trial, not the start
+    assert last.energy == discrete.discrete_energy(res.curve, delta).total
+    assert last.max_defect == res.curve.max_defect()
+    assert last.analyzer_residual == discrete.max_residual_norm(res.curve, delta, c=-1.0)
