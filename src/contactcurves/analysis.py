@@ -448,12 +448,14 @@ def classify(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
 
 
 def case_formula(case, c, k1, k2, alpha0=0.0):
-    """(rho, constraint, threshold) of a constant-curvature curve in a case.
+    """(rho, constraint, threshold, feasible) of a constant-curvature curve.
 
-    rho = d1/d2; constraint is rho in case I, 3(c-1) sin(2 alpha0) (must be
-    negative) in case IV, else None; threshold says a nonnegative rho admits
-    only geodesics (c <= -3 in cases II and IV, c < 1 in III, which reads
-    k1 only).  The scan and solve_delta both read this table.
+    rho = d1/d2; constraint is rho in case I, 3(c-1) sin(2 alpha0) in case
+    IV, else None; threshold says a nonnegative rho admits only geodesics
+    (c <= -3 in cases II and IV, c < 1 in III, which reads k1 only).
+    feasible is the one feasibility rule: rho != 0 (|rho| > 1e-12) in case
+    I, constraint < 0 in case IV, always in cases II and III.  The scan and
+    solve_delta both read this table.
 
     Scalar arguments give Python floats and bools.  Broadcastable arrays
     give arrays, elementwise bitwise equal to the scalar calls: squares go
@@ -464,23 +466,27 @@ def case_formula(case, c, k1, k2, alpha0=0.0):
     if case == "I":
         rho = 1.0 - (sq(k1, 2.0) + sq(k2, 2.0))
         constraint, threshold = rho, False
+        feasible = np.abs(rho) > 1e-12
     elif case == "II":
         rho = (c + 3.0) / 4.0 - (sq(k1, 2.0) + sq(k2, 2.0))
         constraint, threshold = None, c <= -3.0
+        feasible = np.full(np.shape(rho), True)
     elif case == "III":
         rho = c - 1.0 - sq(k1, 2.0)
         constraint, threshold = None, c < 1.0
+        feasible = np.full(np.shape(rho), True)
     elif case == "IV":
         constraint = 3.0 * (c - 1.0) * np.sin(2.0 * alpha0)
         rho = ((c + 3.0) / 4.0 + 3.0 * (c - 1.0) / 4.0 * sq(np.cos(alpha0), 2.0)
                - (sq(k1, 2.0) + sq(k2, 2.0)))
         threshold = c <= -3.0
+        feasible = constraint < 0.0
     else:
         raise AnalysisError(f"case must be I, II, III or IV, got {case!r}")
     if np.ndim(rho) == 0:
         return (float(rho), None if constraint is None else float(constraint),
-                bool(threshold))
-    return rho, constraint, threshold
+                bool(threshold), bool(feasible))
+    return rho, constraint, threshold, feasible
 
 
 @dataclass
@@ -510,7 +516,8 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
     Normalization fixes d2 = 1.  Alongside the case formula the solver
     always evaluates the pointwise ratio rho(t) = <tau2, tau>/<tau, tau>
     and the parallelism defect |tau2 - rho(t) tau|; a spread in rho(t) or a
-    nonzero defect means no constant pair works.
+    nonzero defect means no constant pair works.  Where a case formula
+    applies, feasibility also takes the table's rule from case_formula.
     """
     cls = classify(frenet, scalars, c, tol)
     if frenet.r == 1:
@@ -544,45 +551,40 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
         )
         feasible = False
 
-    if cls.case == "I" and cls.klass in ("circle", "helix"):
-        rho = case_formula("I", c, K1, K2)[0]
-        notes.append("1 - rho = k1^2 + k2^2 >= 0 holds by construction")
-        if abs(rho) < 1e-12:
-            notes.append("rho = 0: the curve is critical for bending alone")
-    elif cls.case == "II" and cls.klass in ("circle", "helix"):
-        rho, _, threshold = case_formula("II", c, K1, K2)
-        if threshold and rho >= 0.0:
-            notes.append("nonnegative rho with c <= -3 admits only geodesics")
-            feasible = False
-        elif threshold:
+    if cls.case == "IV":
+        applies = cls.alpha0 is not None and all(
+            _is_const(frenet.curvatures[i], tol)
+            for i in range(min(frenet.r - 1, 3)))
+    else:
+        applies = cls.klass in ("circle", "helix")
+    if not applies:
+        rho = None
+        notes.append("no case formula applies; see the pointwise ratio")
+    else:
+        rho, _, threshold, table_feasible = case_formula(
+            cls.case, c, K1, K2, cls.alpha0)
+        feasible &= table_feasible
+        if cls.case == "I":
+            notes.append("1 - rho = k1^2 + k2^2 >= 0 holds by construction")
+            if not table_feasible:
+                notes.append("rho = 0: the curve is critical for bending alone")
+        elif cls.case == "II" and threshold:
             notes.append("c <= -3 forces rho < 0 for non-geodesics")
-    elif cls.case == "III" and cls.klass in ("circle", "helix"):
-        rho, _, threshold = case_formula("III", c, K1, K2)
-        k2_dev = (
-            float(np.max(np.abs(frenet.curvatures[1] - 1.0)))
-            if frenet.r >= 3 else 1.0
-        )
-        if k2_dev > tol:
-            notes.append(
-                f"second curvature deviates from 1 by {k2_dev:.3e}, in "
-                f"tension with this case's constraint"
+        elif cls.case == "III":
+            k2_dev = (
+                float(np.max(np.abs(frenet.curvatures[1] - 1.0)))
+                if frenet.r >= 3 else 1.0
             )
-        if threshold and rho >= 0.0:
-            notes.append("nonnegative rho with c < 1 admits only geodesics")
-            feasible = False
-    elif cls.case == "IV" and cls.alpha0 is not None and all(
-        _is_const(frenet.curvatures[i], tol) for i in range(min(frenet.r - 1, 3))
-    ):
-        rho, constraint, _ = case_formula("IV", c, K1, K2, cls.alpha0)
-        if constraint >= 0.0:
+            if k2_dev > tol:
+                notes.append(
+                    f"second curvature deviates from 1 by {k2_dev:.3e}, in "
+                    f"tension with this case's constraint"
+                )
+        elif cls.case == "IV" and not table_feasible:
             notes.append(
                 "sign constraint 3(c-1) sin(2 alpha0) < 0 fails: no "
                 "admissible pair"
             )
-            feasible = False
-    else:
-        rho = None
-        notes.append("no case formula applies; see the pointwise ratio")
 
     if rho is not None and rho_spread <= tol:
         gap = abs(rho - float(np.mean(rho_t)))

@@ -352,8 +352,6 @@ def cmd_verify_example(args):
 
 
 def cmd_scan(args):
-    if not args.tol > 0.0:
-        raise ConfigError(f"--tol must be positive, got {args.tol}")
     cs = parse_range(args.c_range, "--c-range")
     k1s = parse_range(args.k1_range, "--k1-range")
     k2s = parse_range(args.k2_range, "--k2-range")
@@ -374,23 +372,20 @@ def cmd_scan(args):
     i_c, i_k1, i_k2, i_a = np.indices(shape).reshape(4, -1)
     n_rows = i_c.size
     with np.errstate(all="ignore"):       # overflow is caught by to_csv
-        rho, constraint, threshold = analysis.case_formula(
+        rho, constraint, threshold, feasible = analysis.case_formula(
             case, *np.ix_(cs, k1s, k2s, alphas))
     rho = np.broadcast_to(rho, shape).ravel()
-    if case == "I":
-        excluded = ~(np.abs(rho) > 1e-12)
-    else:
-        excluded = np.zeros(n_rows, dtype=bool)
     if case == "IV":
-        # the constraint depends on (c, alpha0) only: one value per pair
+        # constraint and feasibility depend on (c, alpha0) only: one per pair
         constraint = constraint.ravel()
         i_ca = i_c * alphas.size + i_a
-        feasible = constraint[i_ca] < 0.0
+        feasible = feasible.ravel()[i_ca]
     else:
-        feasible = ~excluded
+        feasible = np.broadcast_to(feasible, shape).ravel()
+    excluded = ~feasible if case == "I" else np.zeros(n_rows, dtype=bool)
     # no first curvature means no Frenet frame past T: a geodesic
     geodesic = k1s[i_k1] == 0.0
-    feasible |= geodesic
+    feasible = feasible | geodesic
     threshold = np.broadcast_to(threshold, shape).ravel()
     verdict = np.select([geodesic, excluded, threshold], [3, 2, 1], 0)
 
@@ -495,7 +490,6 @@ def _add_scan(subs):
     p.add_argument("--k2-range", default="0:0:1", metavar="START:STOP:COUNT")
     p.add_argument("--alpha0-range", default="0:0:1",
                    metavar="START:STOP:COUNT")
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scan)
 

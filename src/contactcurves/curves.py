@@ -12,8 +12,8 @@ inside this module.
 The model's frame depends on the y coordinates only, so the analysis path
 (speed and Legendre defect, covariant derivatives, Frenet frames) reads the
 velocity jet and the y jet and never a z value.  The z integral is
-therefore evaluated only where positions are read: :meth:`CurveSpec.point`,
-:func:`coordinate_jets` and :func:`parse_and_jet`.
+therefore evaluated only where positions are read: :meth:`CurveSpec.point`
+and :func:`coordinate_jets`.
 
 One jet pass over a curve evaluates each distinct function call once: all
 coordinates are evaluated in one sharing scope (see
@@ -45,17 +45,14 @@ __all__ = [
     "CurveError",
     "QuadratureError",
     "CurveSpec",
-    "CoordinateJet",
     "FrenetData",
     "FrameScalars",
     "ArclengthReport",
     "make_legendre",
-    "parse_and_jet",
     "coordinate_jets",
     "velocity",
     "legendre_defect",
     "arclength_check",
-    "reparametrize_arclength",
     "covariant_derivative_along",
     "frenet_apparatus",
     "frame_scalars",
@@ -351,23 +348,6 @@ def _velocity_jets(spec, ts, order):
     return jets.Jet(np.stack(tails, axis=1) * k), jets.stack(ys, axis=0)
 
 
-@dataclass
-class CoordinateJet:
-    """Position and the first four derivatives of a curve at one parameter."""
-
-    t: float
-    values: np.ndarray        # (2n+1,)
-    derivatives: np.ndarray   # (4, 2n+1); row k-1 is the k-th derivative
-
-
-def parse_and_jet(spec, t):
-    """Coordinates and derivative stack of orders 1..4 at a single t."""
-    j = coordinate_jets(spec, float(t), order=4)
-    values = j.value[:, 0]
-    derivs = np.stack([j.deriv(k)[:, 0] for k in range(1, 5)])
-    return CoordinateJet(t=float(t), values=values, derivatives=derivs)
-
-
 def velocity(spec, t, order=1):
     """Coordinate components of the velocity, shape like spec.point(t)."""
     t = np.asarray(t, dtype=float)
@@ -405,11 +385,10 @@ def make_legendre(x_exprs, y_exprs, z0=0.0, period=2.0 * np.pi, closed=True):
     quadrature from z(0) = z0: one batched 10/20-point pass over all grid
     gaps, then adaptive bisection of only the gaps where the two rules
     disagree.  The quadrature runs only where positions are read
-    (CurveSpec.point, coordinate_jets, parse_and_jet, and so
-    DiscreteCurve.from_spec); the Frenet and residual analysis needs no z
-    value.  All derivative slots of the z jet come from the integrand
-    itself, so the Legendre defect of the result is limited only by
-    roundoff.
+    (CurveSpec.point, coordinate_jets, and so DiscreteCurve.from_spec); the
+    Frenet and residual analysis needs no z value.  All derivative slots of
+    the z jet come from the integrand itself, so the Legendre defect of the
+    result is limited only by roundoff.
     """
     xs = [parse(e) if isinstance(e, str) else e for e in x_exprs]
     ys = [parse(e) if isinstance(e, str) else e for e in y_exprs]
@@ -465,36 +444,6 @@ def arclength_check(spec, ts):
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     v, y = _velocity_jets(spec, ts, 1)
     return _arclength_report(ts, v.value, y.value, spec.n)
-
-
-def reparametrize_arclength(spec, ts, refine=8):
-    """Parameter values at equal arclength steps, plus the total length.
-
-    Builds a dense cumulative-length table over the span of ts with composite
-    Simpson panels, then inverts it monotonically.  Returns (new_ts, length)
-    where new_ts has the same length as ts and new_ts[0] == ts[0].
-    """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if ts.size < 2:
-        raise CurveError("need at least two parameter values")
-    a, b = float(ts[0]), float(ts[-1])
-    M = 2 * refine * (ts.size - 1)
-    dense = np.linspace(a, b, M + 1)
-    speed = arclength_check(spec, dense).speeds
-    if np.min(speed) < 1e-12:
-        bad = dense[int(np.argmin(speed))]
-        raise CurveError(f"curve is irregular near t={bad:.6g}: speed ~ 0")
-    h = (b - a) / M
-    # composite Simpson over consecutive pairs of panels
-    cum = np.zeros(M + 1)
-    pair = (h / 3.0) * (speed[0:-2:2] + 4.0 * speed[1:-1:2] + speed[2::2])
-    cum[2::2] = np.cumsum(pair)
-    # odd nodes by a trapezoid correction on the half panel
-    cum[1::2] = cum[0:-1:2] + (h / 2.0) * (speed[0:-1:2] + speed[1::2])
-    total = cum[-1]
-    targets = np.linspace(0.0, total, ts.size)
-    new_ts = np.interp(targets, cum, dense)
-    return new_ts, float(total)
 
 
 # ---------------------------------------------------------------------------

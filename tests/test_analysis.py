@@ -10,9 +10,11 @@ test.
 import contextlib
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from contactcurves import analysis, cli, curves, families, model
 
@@ -700,8 +702,8 @@ def test_case4_constants_agree_with_classify():
     assert abs(cls.alpha0 + np.pi / 3) < 1e-12
 
 
-def _scan_rho(case, c, k1, k2, alpha0):
-    """The rho column of a one-cell scan at exactly these floats."""
+def _scan_row(case, c, k1, k2, alpha0):
+    """(rho, feasible) of a one-cell scan at exactly these floats."""
     buf = io.StringIO()
     argv = ["scan", "--case", case]
     for flag, value in (("c", c), ("k1", k1), ("k2", k2), ("alpha0", alpha0)):
@@ -710,7 +712,9 @@ def _scan_rho(case, c, k1, k2, alpha0):
         assert cli.main(argv) == 0
     rows = buf.getvalue().splitlines()
     assert len(rows) == 2
-    return float(rows[1].split(",")[5])
+    cells = rows[1].split(",")
+    assert cells[7] in ("true", "false")
+    return float(cells[5]), cells[7] == "true"
 
 
 @pytest.mark.parametrize("label, c, case", [
@@ -737,7 +741,47 @@ def test_solve_delta_rho_matches_scan(label, c, case):
     k1 = float(np.mean(fr.curvatures[0]))
     k2 = float(np.mean(fr.curvatures[1])) if fr.r >= 3 else 0.0
     alpha0 = cls.alpha0 if case == "IV" else 0.0
-    assert sol.rho == _scan_rho(case, float(c), k1, k2, alpha0)
+    assert sol.rho == _scan_row(case, float(c), k1, k2, alpha0)[0]
+
+
+@st.composite
+def two_exp_params(draw):
+    """(theta, mu, nu) for two_exponential, often a helix or a circle.
+
+    One component (theta = 0 or pi/2) or one frequency (nu = mu) gives a
+    helix, theta = pi/4 with nu = -mu a circle of first curvature |mu|.
+    """
+    theta = draw(st.sampled_from([0.0, math.pi / 4, math.pi / 2])
+                 | st.floats(0.0, math.pi / 2))
+    mu = draw(st.sampled_from([1.0, -1.0]) | st.floats(-3.0, 3.0))
+    nu = draw(st.sampled_from([mu, -mu]) | st.floats(-3.0, 3.0))
+    return theta, mu, nu
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(params=two_exp_params(),
+       c=st.sampled_from([-5.0, -3.0, 0.5, 1.0, 2.5, 7.0]))
+# families.circle(1.0): case I at c = 1 with rho = 0
+@example(params=(np.pi / 4, 1.0, -1.0), c=1.0)
+def test_solve_delta_agrees_with_scan(params, c):
+    inv = families.two_exp_invariants(*params)
+    # circles and helices, with every curvature clear of the rank tolerance
+    assume(inv.r in (2, 3) and min((inv.k1, inv.k2)[:inv.r - 1]) > 1e-3)
+    spec = families.two_exponential(*params)
+    fr, sc = frenet_pair(spec, grid(spec, 64))
+    assert fr.r == inv.r
+    sol = analysis.solve_delta(fr, sc, c)
+    # only where a constant pair can kill the residual does feasibility
+    # reduce to the case table
+    assume(sol.rho_spread <= 1e-6 and sol.parallel_defect <= 1e-6)
+    cls = sol.classification
+    assert sol.rho is not None
+    k1 = float(np.mean(fr.curvatures[0]))
+    k2 = float(np.mean(fr.curvatures[1])) if fr.r >= 3 else 0.0
+    alpha0 = cls.alpha0 if cls.case == "IV" else 0.0
+    rho, feasible = _scan_row(cls.case, c, k1, k2, alpha0)
+    assert abs(rho - sol.rho) <= 4 * math.ulp(sol.rho)
+    assert feasible is sol.feasible
 
 
 # each squares differently through x*x and through pow
@@ -757,18 +801,22 @@ def test_case_formula_arrays_match_scalar_calls_bitwise(case):
     cs = np.array([-5.0, -3.0, -0.0, 1.0, 2.5, *rng.uniform(-6.0, 6.0, 3)])
     alphas = np.array([-0.0, np.pi / 4, -1.2, *rng.uniform(-3.0, 3.0, 3)])
     grid = np.ix_(cs, ks, ks[::-1], alphas)
-    rho, constraint, threshold = analysis.case_formula(case, *grid)
+    rho, constraint, threshold, feasible = analysis.case_formula(case, *grid)
     shape = (cs.size, ks.size, ks.size, alphas.size)
     rho = np.broadcast_to(rho, shape)
     threshold = np.broadcast_to(threshold, shape)
+    feasible = np.broadcast_to(feasible, shape)
     if constraint is not None:
         constraint = np.broadcast_to(constraint, shape)
     for cell in np.ndindex(shape):
         args = [float(axis.ravel()[i]) for axis, i in zip(grid, cell)]
-        s_rho, s_constraint, s_threshold = analysis.case_formula(case, *args)
+        s_rho, s_constraint, s_threshold, s_feasible = analysis.case_formula(
+            case, *args)
         assert type(s_rho) is float and type(s_threshold) is bool
+        assert type(s_feasible) is bool
         assert _bits(rho[cell]) == _bits(s_rho), (cell, args)
         assert bool(threshold[cell]) is s_threshold
+        assert bool(feasible[cell]) is s_feasible, (cell, args)
         if constraint is None:
             assert s_constraint is None
         else:

@@ -9,16 +9,24 @@ re-recorded twice since then: when their ``min_singular_value`` moved by one
 ulp to the correctly rounded 3 - sqrt(5), and when their ``implied_n_bound``
 for the order-2 set went from 3 to the correct n >= 2.
 
+Two digests record the case-I decision that a constant-curvature curve with
+rho = d1/d2 = 0 is excluded: ``analyze`` of the k1 = 1 circle at c = 1 (its
+solve block reports feasible false) and the default ``scan --case I`` (the
+k1 = 1, k2 = 0 cell, "excluded: requires delta1/delta2 != 0").
+
 A change that alters CLI output on purpose re-records the digests by running
 this file as a script (``PYTHONPATH=src python tests/test_cli_bytes.py``),
 pastes the printed table over ``DIGESTS``, and says in CHANGES.md which
-outputs changed and why.
+outputs changed and why.  ``--dump DIR`` instead writes each command line's
+exit code, stdout and stderr to one file in DIR, named after the command
+line, so the outputs of two commits can be compared with ``diff -r``.
 """
 
 import contextlib
 import hashlib
 import io
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +66,8 @@ def _argvs():
     for path in REPORT_CURVES:
         for grid in ("64", "256"):
             out.append(["analyze", "--curve", path, "--grid", grid])
+    # case I at rho = 0: analyze and scan both exclude it
+    out.append(["analyze", "--curve", "tests/curves/circle_k1.txt", "--c=1"])
     # a coordinate that leaves the domain of log: one error line, exit 2
     out.append(["analyze", "--curve", "tests/curves/domain_error.txt"])
     out.append(["flow", "--curve", "tests/curves/domain_error.txt", "--steps", "1"])
@@ -82,20 +92,39 @@ def _argvs():
         # the 16 000-cell case-IV sweep
         ["scan", "--case", "IV", "--c-range=-3:5:20", "--k1-range=0:2.5:20",
          "--k2-range=0:2.5:20", "--alpha0-range=0:3:2"],
+        # the default cell k1 = 1, k2 = 0: rho = 0, excluded
+        ["scan", "--case", "I"],
     ]
     return out
 
 
-def digest(argv):
-    """SHA-256 of the exit code, stdout and stderr of one in-process run."""
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
+    return str(rc), out.getvalue(), err.getvalue()
+
+
+def digest(argv):
+    """SHA-256 of the exit code, stdout and stderr of one in-process run."""
     h = hashlib.sha256()
-    for part in (str(rc), out.getvalue(), err.getvalue()):
+    for part in run(argv):
         h.update(part.encode())
         h.update(b"\0")
     return h.hexdigest()
+
+
+def dump(directory):
+    """Write each command line's exit code, stdout and stderr to one file."""
+    directory = Path(directory).resolve()
+    directory.mkdir(parents=True, exist_ok=True)
+    os.chdir(ROOT)
+    for argv in _argvs():
+        rc, out, err = run(argv)
+        name = "_".join(argv).replace("/", "_") + ".txt"
+        (directory / name).write_text(
+            f"$ {' '.join(argv)}\nexit: {rc}\n--- stdout\n{out}--- stderr\n{err}")
 
 
 DIGESTS = {
@@ -169,6 +198,8 @@ DIGESTS = {
         'ba063077ac0abf3a0f9521dacbdbd81589805646d15e91b7101d59928557b4ac',
     'analyze --curve tests/curves/elementary.txt --grid 256':
         '662c873070505d8a942efc8a0b0826a379dcd424d822022f534201bcebcd34d4',
+    'analyze --curve tests/curves/circle_k1.txt --c=1':
+        'ae4c498cba7ac545bba8a76595b0c62f28e1ba5c625266f488638ac445eb8be4',
     'analyze --curve tests/curves/domain_error.txt':
         '62a60fd0470888ed26326878cc766e953b6c92336865d6646e24f6d5050b6973',
     'flow --curve tests/curves/domain_error.txt --steps 1':
@@ -205,6 +236,8 @@ DIGESTS = {
         '6847b210ebc593a73cabdd62e9b76e6a65c6d3950ef6e1b912511f995e5fcf9a',
     'scan --case IV --c-range=-3:5:20 --k1-range=0:2.5:20 --k2-range=0:2.5:20 --alpha0-range=0:3:2':
         '7db4c66aa46af5811366029f094008068db425decfab81e3174cccd9a11f59b9',
+    'scan --case I':
+        'a98e6d202cd7dd49ab9b97273f2a3cd6b9e3a516fd804e1541fdd841108437fe',
 }
 
 
@@ -215,6 +248,9 @@ def test_cli_bytes_unchanged(argv, monkeypatch):
 
 
 if __name__ == "__main__":
+    if len(sys.argv) == 3 and sys.argv[1] == "--dump":
+        dump(sys.argv[2])
+        sys.exit(0)
     os.chdir(ROOT)
     print("DIGESTS = {")
     for argv in _argvs():

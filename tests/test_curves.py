@@ -21,8 +21,6 @@ from contactcurves.curves import (
     frenet_apparatus,
     legendre_defect,
     make_legendre,
-    parse_and_jet,
-    reparametrize_arclength,
     sample_grid,
     velocity,
 )
@@ -52,17 +50,6 @@ def test_point_and_velocity(example_curve):
     pts = example_curve.point(ts)
     assert pts.shape == (5, 3)
     assert np.allclose(pts[0], np.sin(2 * ts))
-
-
-def test_parse_and_jet_contract(example_curve):
-    cj = parse_and_jet(example_curve, 0.3)
-    assert cj.t == 0.3
-    assert cj.values.shape == (5,)
-    assert cj.derivatives.shape == (4, 5)
-    # x1 = sin(2t): derivatives cycle through 2cos, -4sin, -8cos, 16sin
-    c, s = np.cos(0.6), np.sin(0.6)
-    assert np.allclose(cj.derivatives[:, 0], [2 * c, -4 * s, -8 * c, 16 * s])
-    assert np.allclose(cj.derivatives[:, 4], 0.0)
 
 
 def test_sample_grid(example_curve):
@@ -322,20 +309,6 @@ def test_frame_scalars_example(example_curve, example_grid):
     assert np.max(np.abs(sc.f_jet.deriv(1))) < 1e-8
 
 
-def test_reparametrize_arclength():
-    # the same circle at half speed: length over one period is pi... with
-    # x = sin t the contact speed is 1/2, so s(t) = t/2 and the inverse map
-    # returns equally spaced parameters again
-    spec = CurveSpec(2, ["sin(t)", "-cos(t)", "0", "0", "1"])
-    ts = np.linspace(0.0, 2 * np.pi, 65)
-    new_ts, total = reparametrize_arclength(spec, ts)
-    assert abs(total - np.pi) < 1e-10
-    assert np.max(np.abs(new_ts - ts)) < 1e-9
-    spec2 = CurveSpec(1, ["0", "0", "1"])
-    with pytest.raises(CurveError, match="irregular"):
-        reparametrize_arclength(spec2, ts)
-
-
 def test_integral_coordinate_negative_and_repeat_times():
     spec = make_legendre(["sin(t)"], ["cos(t)"])
     ts = np.array([1.0, -2.0, 0.0, 1.0, 3.0])
@@ -458,8 +431,6 @@ def test_analysis_integrates_no_z(r, monkeypatch):
     assert calls[0] == 1
     DiscreteCurve.from_spec(spec, 64)
     assert calls[0] == 2
-    parse_and_jet(spec, 0.5)
-    assert calls[0] == 3
 
 
 @pytest.mark.parametrize("order", range(1, 8))
