@@ -54,12 +54,14 @@ turn = families.rational_turn()
 tts = np.linspace(-1.5, 1.5, 161)
 rep = analysis.residual_direct(turn, tts, -3.0, (0.0, 1.0))
 predicted = 24.0 * tts / (1.0 + tts**2) ** 3   # -3 k1 k1' by hand
+# the first scalar equation is the residual's component along E1 = T
 print("rational turn, tangential component vs -3 k1 k1':",
-      f"{np.max(np.abs(rep.projections['E1'] - predicted)):.2e}")
+      f"{np.max(np.abs(rep.equation_residuals[0] - predicted)):.2e}")
 
 # its third frame is the contact direction itself, so the raw pairing with
-# xi is a legitimate equation, not a defect
-xi_pair = np.max(np.abs(rep.projections["xi"]))
+# xi (the last frame component of the residual) is a legitimate equation,
+# not a defect
+xi_pair = np.max(np.abs(rep.vector[-1]))
 print("rational turn, raw <residual, xi> max:", f"{xi_pair:.6f},",
       "third equation max:", f"{rep.equations[2]:.6f}",
       "(equal because E3 = xi here)")

@@ -30,6 +30,9 @@ Scalar projections of the residual onto E_1..E_m (m = min(r, 4)) give the
 per-equation checks: the residual vanishes iff those m scalars vanish and
 the phiT / xi correction terms stay inside span{E_1..E_m}.
 
+Every verdict is decided here: :func:`case_formula` is the one case table,
+read by the scan over a whole grid and by :func:`solve_delta` for one curve.
+
 The ambient connection is that of the concrete model; the parameter c only
 enters through the space-form curvature formula, so values other than -3
 describe the frame algebra of the general space form over the concrete
@@ -64,6 +67,10 @@ __all__ = [
     "classify",
     "case_formula",
     "solve_delta",
+    "VERDICTS",
+    "GEODESIC_VERDICT",
+    "THRESHOLD_VERDICT",
+    "EXCLUDED_VERDICT",
     "independence_check",
     "case4_ode_residuals",
 ]
@@ -126,65 +133,28 @@ def _span_leakage(vec, frames_m):
 
 @dataclass
 class ResidualReport:
-    """The weighted residual on a grid, with its frame decomposition.
+    """The weighted residual on a grid, with its m scalar equations.
 
-    projections holds raw inner products of the residual with E1..E4 (zero
-    rows past the osculating order), phi T, and xi; equation_residuals holds
-    the m scalar equations (for the direct route these are the same inner
-    products; for the closed-form route they are assembled from the
-    expansion coefficients).  structural carries the six expansion
-    coefficients and is None on the direct route.
+    equation_residuals holds the m scalar equations: on the direct route
+    the inner products of the residual with E1..E_m, on the closed-form
+    route their assembly from the expansion coefficients.  structural
+    carries the six expansion coefficients and is None on the direct route.
     """
 
-    ts: np.ndarray
-    c: float
-    delta: tuple
-    r: int
-    m: int
-    route: str
     vector: np.ndarray                 # (2n+1, N) frame components
-    projections: dict
     equation_residuals: np.ndarray     # (m, N)
     structural: dict | None = None
 
     @property
-    def norms(self):
-        return np.sqrt(metric_frame(self.vector, self.vector))
-
-    @property
     def max_norm(self):
-        return float(np.max(self.norms)) if self.ts.size else 0.0
+        if not self.vector.size:
+            return 0.0
+        return float(np.max(np.sqrt(metric_frame(self.vector, self.vector))))
 
     @property
     def equations(self):
         """Max absolute residual of each of the m scalar equations."""
         return [float(np.max(np.abs(row))) for row in self.equation_residuals]
-
-
-def _build_report(vector, frenet, scalars, c, delta, route, equation_residuals,
-                  structural=None):
-    n = frenet.n
-    N = frenet.ts.size
-    projections = {}
-    for i in range(4):
-        if i < frenet.r:
-            projections[f"E{i + 1}"] = metric_frame(vector, frenet.frames[i])
-        else:
-            projections[f"E{i + 1}"] = np.zeros(N)
-    projections["phiT"] = metric_frame(vector, scalars.phiT)
-    projections["xi"] = vector[2 * n].copy()
-    return ResidualReport(
-        ts=frenet.ts,
-        c=float(c),
-        delta=(float(delta[0]), float(delta[1])),
-        r=frenet.r,
-        m=frenet.m,
-        route=route,
-        vector=vector,
-        projections=projections,
-        equation_residuals=equation_residuals,
-        structural=structural,
-    )
 
 
 def _direct_report(frenet, scalars, c, delta):
@@ -202,7 +172,7 @@ def _direct_report(frenet, scalars, c, delta):
         metric_frame(vector, frenet.frames[i])
         for i in range(frenet.m)
     ])
-    return _build_report(vector, frenet, scalars, c, (d1, d2), "direct", eqs)
+    return ResidualReport(vector, eqs)
 
 
 def residual_direct(spec, ts, c=-3.0, delta=(0.0, 1.0)):
@@ -215,7 +185,7 @@ def residual_direct(spec, ts, c=-3.0, delta=(0.0, 1.0)):
 # closed-form route
 
 
-def _structural_coefficients(frenet, scalars, c, delta, eq2_sign="+"):
+def _structural_coefficients(frenet, scalars, c, delta):
     d1, d2 = float(delta[0]), float(delta[1])
     N = frenet.ts.size
     if frenet.r < 2:
@@ -229,16 +199,11 @@ def _structural_coefficients(frenet, scalars, c, delta, eq2_sign="+"):
         k2 = np.zeros(N)
         k2p = np.zeros(N)
     k3 = frenet.curvatures[2] if frenet.r >= 4 else np.zeros(N)
-    if eq2_sign == "+":
-        spring = (c + 3.0) / 4.0 * k1
-    elif eq2_sign == "-":
-        spring = -(c + 3.0) / 4.0 * k1
-    else:
-        raise AnalysisError(f"eq2_sign must be '+' or '-', got {eq2_sign!r}")
     q = (c - 1.0) / 4.0
     return {
         "E1": -3.0 * d2 * k1 * k1p,
-        "E2": d2 * (k1pp - k1 ** 3 - k1 * k2 ** 2 + spring) - d1 * k1,
+        "E2": d2 * (k1pp - k1 ** 3 - k1 * k2 ** 2 + (c + 3.0) / 4.0 * k1)
+              - d1 * k1,
         "E3": d2 * (2.0 * k1p * k2 + k1 * k2p),
         "E4": d2 * k1 * k2 * k3,
         "phiT": 3.0 * q * d2 * k1 * scalars.f,
@@ -246,18 +211,13 @@ def _structural_coefficients(frenet, scalars, c, delta, eq2_sign="+"):
     }
 
 
-def residual_closed_form(frenet, scalars, c=-3.0, delta=(0.0, 1.0),
-                         eq2_sign="+"):
-    """The frame expansion of the residual, reassembled into a vector.
-
-    eq2_sign selects the sign of the ((c+3)/4) k1 restoring term inside the
-    E2 coefficient; "+" is the self-consistent choice and the default.
-    """
+def residual_closed_form(frenet, scalars, c=-3.0, delta=(0.0, 1.0)):
+    """The frame expansion of the residual, reassembled into a vector."""
     n = frenet.n
     N = frenet.ts.size
     if frenet.r >= 2 and frenet.frames.shape[0] < 2:
         raise AnalysisError("frame data for E2 missing from FrenetData")
-    co = _structural_coefficients(frenet, scalars, c, delta, eq2_sign)
+    co = _structural_coefficients(frenet, scalars, c, delta)
     dim = 2 * n + 1
     vector = np.zeros((dim, N))
     for i in range(4):
@@ -276,9 +236,7 @@ def residual_closed_form(frenet, scalars, c=-3.0, delta=(0.0, 1.0),
             e += co["phiT"] * gph[i] + co["xi"] * eta[i]
         eqs.append(e)
     eqs = np.stack(eqs) if eqs else np.zeros((0, N))
-    return _build_report(
-        vector, frenet, scalars, c, delta, "closed-form", eqs, structural=co
-    )
+    return ResidualReport(vector, eqs, co)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +257,6 @@ class TheoremCheck:
     report is the closed-form residual the equations were read from.
     """
 
-    m: int
     equations: list
     condition1_mode: str       # "c=1" | "orthogonal" | "span" | "violated"
     condition1_leakage: float
@@ -311,15 +268,14 @@ class TheoremCheck:
         return self.condition1_passed and all(e.passed for e in self.equations)
 
 
-def theorem31_check(frenet, scalars, c=-3.0, delta=(0.0, 1.0), tol=1e-6,
-                    eq2_sign="+"):
+def theorem31_check(frenet, scalars, c=-3.0, delta=(0.0, 1.0), tol=1e-6):
     """Evaluate the m scalar equations and the phiT/xi span condition.
 
     The criticality system holds iff the first m = min(r, 4) scalar
     equations vanish and the phi T and xi correction terms carry nothing
     outside span{E_1..E_m}.
     """
-    report = residual_closed_form(frenet, scalars, c, delta, eq2_sign)
+    report = residual_closed_form(frenet, scalars, c, delta)
     checks = [
         EquationCheck(i + 1, float(np.max(np.abs(row))),
                       bool(np.max(np.abs(row)) <= tol))
@@ -333,7 +289,6 @@ def theorem31_check(frenet, scalars, c=-3.0, delta=(0.0, 1.0), tol=1e-6,
         mode, leak = "c=1", 0.0
     else:
         extra = co["phiT"][np.newaxis] * scalars.phiT
-        extra = extra.copy()
         extra[2 * n] += co["xi"]
         leak_arr = _span_leakage(extra, frenet.frames[:frenet.m])
         leak = float(np.max(leak_arr)) if N else 0.0
@@ -345,7 +300,6 @@ def theorem31_check(frenet, scalars, c=-3.0, delta=(0.0, 1.0), tol=1e-6,
             mode = "violated"
     passed = mode != "violated" and leak <= tol
     return TheoremCheck(
-        m=frenet.m,
         equations=checks,
         condition1_mode=mode,
         condition1_leakage=leak,
@@ -447,46 +401,60 @@ def classify(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
 # case table and delta solver
 
 
+GEODESIC_VERDICT = "geodesic: any delta admissible"
+THRESHOLD_VERDICT = "geodesic only for delta1/delta2 >= 0"
+EXCLUDED_VERDICT = "excluded: requires delta1/delta2 != 0"
+# case_formula's verdict by code: 0 none, 1 threshold, 2 excluded, 3 geodesic
+VERDICTS = ("", THRESHOLD_VERDICT, EXCLUDED_VERDICT, GEODESIC_VERDICT)
+
+
 def case_formula(case, c, k1, k2, alpha0=0.0):
-    """(rho, constraint, threshold, feasible) of a constant-curvature curve.
+    """(rho, constraint, feasible, verdict) of a constant-curvature curve.
 
     rho = d1/d2; constraint is rho in case I, 3(c-1) sin(2 alpha0) in case
-    IV, else None; threshold says a nonnegative rho admits only geodesics
-    (c <= -3 in cases II and IV, c < 1 in III, which reads k1 only).
-    feasible is the one feasibility rule: rho != 0 (|rho| > 1e-12) in case
-    I, constraint < 0 in case IV, always in cases II and III.  The scan and
-    solve_delta both read this table.
+    IV, else None.  feasible is the one feasibility rule: rho != 0
+    (|rho| > 1e-12) in case I, constraint < 0 in case IV, always in cases
+    II and III and wherever k1 = 0.  verdict indexes VERDICTS: 3 where
+    k1 = 0 (no frame past T: a geodesic), else 2 where case I is
+    infeasible, else 1 where a nonnegative rho admits only geodesics
+    (c <= -3 in cases II and IV, c < 1 in III, which reads k1 only), else
+    0.  The scan and solve_delta both read this table.
 
-    Scalar arguments give Python floats and bools.  Broadcastable arrays
-    give arrays, elementwise bitwise equal to the scalar calls: squares go
-    through np.float_power, which rounds as Python's pow does, where numpy's
-    ``x ** 2`` on an array computes x*x and can differ by an ulp.
+    Scalar arguments give Python floats, bools and ints.  Broadcastable
+    arrays give arrays, elementwise bitwise equal to the scalar calls:
+    squares go through np.float_power, which rounds as Python's pow does,
+    where numpy's ``x ** 2`` on an array computes x*x and can differ by an
+    ulp.
     """
     sq = np.float_power
     if case == "I":
         rho = 1.0 - (sq(k1, 2.0) + sq(k2, 2.0))
-        constraint, threshold = rho, False
+        constraint = rho
         feasible = np.abs(rho) > 1e-12
+        verdict = np.where(feasible, 0, 2)
     elif case == "II":
         rho = (c + 3.0) / 4.0 - (sq(k1, 2.0) + sq(k2, 2.0))
-        constraint, threshold = None, c <= -3.0
-        feasible = np.full(np.shape(rho), True)
+        constraint, feasible = None, True
+        verdict = np.where(c <= -3.0, 1, 0)
     elif case == "III":
         rho = c - 1.0 - sq(k1, 2.0)
-        constraint, threshold = None, c < 1.0
-        feasible = np.full(np.shape(rho), True)
+        constraint, feasible = None, True
+        verdict = np.where(c < 1.0, 1, 0)
     elif case == "IV":
         constraint = 3.0 * (c - 1.0) * np.sin(2.0 * alpha0)
         rho = ((c + 3.0) / 4.0 + 3.0 * (c - 1.0) / 4.0 * sq(np.cos(alpha0), 2.0)
                - (sq(k1, 2.0) + sq(k2, 2.0)))
-        threshold = c <= -3.0
         feasible = constraint < 0.0
+        verdict = np.where(c <= -3.0, 1, 0)
     else:
         raise AnalysisError(f"case must be I, II, III or IV, got {case!r}")
+    geodesic = np.equal(k1, 0.0)
+    feasible = np.logical_or(feasible, geodesic)
+    verdict = np.where(geodesic, 3, verdict)
     if np.ndim(rho) == 0:
         return (float(rho), None if constraint is None else float(constraint),
-                bool(threshold), bool(feasible))
-    return rho, constraint, threshold, feasible
+                bool(feasible), int(verdict))
+    return rho, constraint, feasible, verdict
 
 
 @dataclass
@@ -499,6 +467,7 @@ class DeltaSolution:
     rho_spread: float
     parallel_defect: float
     feasible: bool
+    verdict: str                # the table's own verdict, else how a pair fits
     any_delta: bool = False
     k2_deviation: float | None = None
     notes: list = field(default_factory=list)
@@ -517,15 +486,16 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
     always evaluates the pointwise ratio rho(t) = <tau2, tau>/<tau, tau>
     and the parallelism defect |tau2 - rho(t) tau|; a spread in rho(t) or a
     nonzero defect means no constant pair works.  Where a case formula
-    applies, feasibility also takes the table's rule from case_formula.
+    applies, feasibility and the verdict also take the table's rule from
+    case_formula.
     """
     cls = classify(frenet, scalars, c, tol)
     if frenet.r == 1:
         return DeltaSolution(
             classification=cls, rho=None, rho_pointwise=None,
             rho_spread=0.0, parallel_defect=0.0, feasible=True,
-            any_delta=True, notes=["geodesic: residual vanishes for every "
-                                   "(d1, d2)"],
+            verdict=GEODESIC_VERDICT, any_delta=True,
+            notes=["geodesic: residual vanishes for every (d1, d2)"],
         )
 
     k1 = frenet.curvatures[0]
@@ -558,17 +528,17 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
     else:
         applies = cls.klass in ("circle", "helix")
     if not applies:
-        rho = None
+        rho, code = None, 0
         notes.append("no case formula applies; see the pointwise ratio")
     else:
-        rho, _, threshold, table_feasible = case_formula(
+        rho, _, table_feasible, code = case_formula(
             cls.case, c, K1, K2, cls.alpha0)
         feasible &= table_feasible
         if cls.case == "I":
             notes.append("1 - rho = k1^2 + k2^2 >= 0 holds by construction")
             if not table_feasible:
                 notes.append("rho = 0: the curve is critical for bending alone")
-        elif cls.case == "II" and threshold:
+        elif cls.case == "II" and code == 1:
             notes.append("c <= -3 forces rho < 0 for non-geodesics")
         elif cls.case == "III":
             k2_dev = (
@@ -592,6 +562,14 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
             notes.append(
                 f"case formula and pointwise ratio disagree by {gap:.3e}"
             )
+    if code >= 2:       # the table names the verdict: excluded or geodesic
+        verdict = VERDICTS[code]
+    elif rho is None:
+        verdict = "no constant weight ratio fits this curve"
+    elif feasible:
+        verdict = "critical for delta proportional to (rho, 1)"
+    else:
+        verdict = "required ratio violates the case constraints"
     return DeltaSolution(
         classification=cls,
         rho=rho,
@@ -599,6 +577,7 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
         rho_spread=rho_spread,
         parallel_defect=parallel_defect,
         feasible=feasible,
+        verdict=verdict,
         k2_deviation=k2_dev,
         notes=notes,
     )
@@ -612,7 +591,7 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
 class IndependenceReport:
     """Verdict of :func:`independence_check`.
 
-    min_singular_value is the smallest eigenvalue, over the grid, of the
+    min_gram_eigenvalue is the smallest eigenvalue, over the grid, of the
     3x3 Gram matrix of phi T, nabla_T phi T and xi after projection off
     span{T, E2(, E3)}; 0.0 when the ambient dimension is too small.  It is
     computed from the Frenet data alone: the curve spec the check takes is
@@ -620,7 +599,7 @@ class IndependenceReport:
     """
 
     independent: bool
-    min_singular_value: float
+    min_gram_eigenvalue: float
     set_size: int
     implied_n_bound: int
     note: str = ""
@@ -723,7 +702,7 @@ def independence_check(spec, frenet, tol=1e-8):
     if dim < size:
         return IndependenceReport(
             independent=False,
-            min_singular_value=0.0,
+            min_gram_eigenvalue=0.0,
             set_size=size,
             implied_n_bound=bound,
             note=(f"ambient dimension {dim} cannot hold {size} independent "
@@ -746,10 +725,10 @@ def independence_check(spec, frenet, tol=1e-8):
     # pairing with the projected xi is their eta
     gram = (metric_frame(phiT, phiT), metric_frame(dphiT, dphiT), xi_xi,
             metric_frame(phiT, dphiT), eta_frame(phiT), eta_frame(dphiT))
-    min_sv = float(np.min(_sym3_min_eigenvalue(*gram)))
+    min_eig = float(np.min(_sym3_min_eigenvalue(*gram)))
     return IndependenceReport(
-        independent=min_sv > tol,
-        min_singular_value=min_sv,
+        independent=min_eig > tol,
+        min_gram_eigenvalue=min_eig,
         set_size=size,
         implied_n_bound=bound,
     )

@@ -12,6 +12,8 @@ Four subcommands cover the workflows the library supports:
 * ``flow``: discretize a curve, run gradient descent on the weighted
   energy, emit the trajectory as CSV.
 
+Every verdict printed here is decided in ``analysis``; this module formats.
+
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input.
 Reports go to stdout unless ``--out`` names a file; they contain no
 timestamps and all floats are printed with 17 significant digits, so a
@@ -33,6 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, discrete, reporting
+# re-exported: callers read the scan's verdict texts from this module too
+from .analysis import EXCLUDED_VERDICT, GEODESIC_VERDICT, THRESHOLD_VERDICT  # noqa: F401
 from .curves import (
     CurveError,
     CurveSpec,
@@ -51,12 +55,6 @@ __all__ = [
 ]
 
 EXAMPLE_COORDS = ("sin(2*t)", "-cos(2*t)", "0", "0", "1")
-
-GEODESIC_VERDICT = "geodesic: any delta admissible"
-THRESHOLD_VERDICT = "geodesic only for delta1/delta2 >= 0"
-EXCLUDED_VERDICT = "excluded: requires delta1/delta2 != 0"
-# the scan's verdict column by code: 0 none, 1 threshold, 2 excluded, 3 geodesic
-SCAN_VERDICTS = ("", THRESHOLD_VERDICT, EXCLUDED_VERDICT, GEODESIC_VERDICT)
 
 
 class ConfigError(ValueError):
@@ -180,21 +178,12 @@ def cmd_analyze(args):
     sol = analysis.solve_delta(frenet, scalars, args.c, tol=args.tol)
     cls = sol.classification
 
-    if sol.any_delta:
-        verdict = "any delta admissible"
-    elif sol.rho is None:
-        verdict = "no constant weight ratio fits this curve"
-    elif sol.feasible:
-        verdict = "critical for delta proportional to (rho, 1)"
-    else:
-        verdict = "required ratio violates the case constraints"
-
     if frenet.r in (2, 3):
         ind = analysis.independence_check(spec, frenet, tol=args.tol)
         independence = {
             "applicable": True,
             "independent": ind.independent,
-            "min_singular_value": ind.min_singular_value,
+            "min_gram_eigenvalue": ind.min_gram_eigenvalue,
             "set_size": ind.set_size,
             "implied_n_bound": ind.implied_n_bound,
             "note": ind.note,
@@ -272,7 +261,7 @@ def cmd_analyze(args):
             "k2_deviation": sol.k2_deviation,
             "alpha0": cls.alpha0,
             "delta": list(sol.delta) if sol.delta is not None else None,
-            "verdict": verdict,
+            "verdict": sol.verdict,
             "notes": list(sol.notes),
         },
         "independence": independence,
@@ -289,14 +278,13 @@ def cmd_verify_example(args):
     _validate_common(args)
     spec = example_spec()
     ts = sample_grid(spec, args.grid)
-    sign = "+" if args.eq2_sign == "plus" else "-"
 
     frenet = frenet_apparatus(spec, ts, tol=args.tol)
     scalars = frame_scalars(frenet)
     sol = analysis.solve_delta(frenet, scalars, args.c, tol=args.tol)
     cls = sol.classification
     thm = analysis.theorem31_check(frenet, scalars, args.c, (-8.0, 2.0),
-                                   tol=args.tol, eq2_sign=sign)
+                                   tol=args.tol)
     res_crit = analysis._direct_report(frenet, scalars, args.c, (-8.0, 2.0))
     res_biha = analysis._direct_report(frenet, scalars, args.c, (0.0, 1.0))
     route_gap = float(np.max(np.abs(thm.report.vector - res_crit.vector)))
@@ -324,7 +312,7 @@ def cmd_verify_example(args):
         ("weight solve recovers the critical ratio",
          sol.rho is not None and abs(sol.rho + 4.0) < 1e-6 and sol.feasible,
          f"rho = {'none' if sol.rho is None else reporting.format_float(sol.rho)}"),
-        (f"closed form (eq2 sign {args.eq2_sign}) matches the direct route within 1e-6",
+        ("closed form (eq2 sign plus) matches the direct route within 1e-6",
          route_gap < 1e-6, f"max gap {reporting.format_float(route_gap)}"),
     ]
 
@@ -334,11 +322,6 @@ def cmd_verify_example(args):
         if not ok:
             failed += 1
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    if sign == "-" and (args.c + 3.0) / 4.0 == 0.0:
-        lines.append(
-            "note: the eq2 sign variant is untestable at c=-3; "
-            "the (c+3)/4 k1 term vanishes identically"
-        )
     if failed:
         lines.append(f"verify-example: FAIL ({failed} of {len(checks)} checks failed)")
     else:
@@ -372,26 +355,18 @@ def cmd_scan(args):
     i_c, i_k1, i_k2, i_a = np.indices(shape).reshape(4, -1)
     n_rows = i_c.size
     with np.errstate(all="ignore"):       # overflow is caught by to_csv
-        rho, constraint, threshold, feasible = analysis.case_formula(
+        rho, constraint, feasible, verdict = analysis.case_formula(
             case, *np.ix_(cs, k1s, k2s, alphas))
-    rho = np.broadcast_to(rho, shape).ravel()
+    rho, feasible, verdict = (np.broadcast_to(a, shape).ravel()
+                              for a in (rho, feasible, verdict))
     if case == "IV":
-        # constraint and feasibility depend on (c, alpha0) only: one per pair
+        # the constraint depends on (c, alpha0) only: one per pair
         constraint = constraint.ravel()
         i_ca = i_c * alphas.size + i_a
-        feasible = feasible.ravel()[i_ca]
-    else:
-        feasible = np.broadcast_to(feasible, shape).ravel()
-    excluded = ~feasible if case == "I" else np.zeros(n_rows, dtype=bool)
-    # no first curvature means no Frenet frame past T: a geodesic
-    geodesic = k1s[i_k1] == 0.0
-    feasible = feasible | geodesic
-    threshold = np.broadcast_to(threshold, shape).ravel()
-    verdict = np.select([geodesic, excluded, threshold], [3, 2, 1], 0)
 
     def shown(index):
-        """index, with -1 (an empty cell) on the geodesic rows."""
-        return np.where(geodesic, -1, index)
+        """index, with -1 (an empty cell) on the geodesic rows (code 3)."""
+        return np.where(verdict == 3, -1, index)
 
     empty = reporting.Indexed([], np.full(n_rows, -1))
     rho_col = reporting.Indexed(rho, shown(np.arange(n_rows)))
@@ -413,7 +388,7 @@ def cmd_scan(args):
         rho_col,
         constraint_col,
         feasible,
-        reporting.Indexed(SCAN_VERDICTS, verdict),
+        reporting.Indexed(analysis.VERDICTS, verdict),
     ]
     _write_output(reporting.to_csv(header, columns), args.out)
     return 0
@@ -477,8 +452,6 @@ def _add_verify_example(subs):
     p = subs.add_parser("verify-example",
                         help="self-check on the built-in reference curve")
     _add_common(p, curve=False)
-    p.add_argument("--eq2-sign", choices=("plus", "minus"), default="plus",
-                   help="sign variant of the restoring term in equation 2")
     p.set_defaults(func=cmd_verify_example)
 
 

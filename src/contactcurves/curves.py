@@ -416,10 +416,6 @@ class ArclengthReport:
     max_defect: float               # max |eta(gamma')|
     defects: np.ndarray             # eta(gamma') along the grid
 
-    @property
-    def unit_speed(self):
-        return self.max_deviation < 1e-6
-
 
 def _arclength_report(ts, v, y, n):
     """Speed and Legendre defect from velocity components v and y rows y.

@@ -460,11 +460,13 @@ def descend(curve: DiscreteCurve, delta, steps=50, rate=0.05, c=-3.0,
             shrink=0.5) -> DescentResult:
     """Projected gradient descent with a backtracking line search.
 
-    Acceptance uses a small sufficient-decrease margin, so accepted
-    iterates strictly lower the energy; a plain <= would happily take
-    no-op steps near a minimum.  When backtracking shrinks the step
-    below rate * 1e-12 the loop stops and says so in the diagnostic
-    instead of looping forever.
+    Acceptance uses the Armijo test against the slope <-g, d> of the
+    energy along the projected direction d, so accepted iterates strictly
+    lower the energy; a plain <= would happily take no-op steps near a
+    minimum.  The contact projection is not orthogonal, so d can point
+    uphill: where <-g, d> is not positive the loop stops and says so.  When
+    backtracking shrinks the step below rate * 1e-12 the loop stops and
+    says so in the diagnostic instead of looping forever.
     """
     cur = curve.copy()
     st = _stencils(cur)
@@ -479,7 +481,13 @@ def descend(curve: DiscreteCurve, delta, steps=50, rate=0.05, c=-3.0,
         if np.abs(direction).max() == 0.0:
             return DescentResult(cur, rows, stopped=True,
                                  diagnostic=f"zero gradient at step {step}")
-        slope = float(np.sum(direction * direction))
+        slope = -float(np.sum(grad * direction))
+        if not slope > 0.0:
+            return DescentResult(
+                cur, rows, stopped=True,
+                diagnostic=("projected direction is not a descent direction "
+                            f"at step {step}"),
+            )
         alpha = rate
         while True:
             trial = DiscreteCurve(cur.points + alpha * direction, cur.n, cur.h, cur.closed)

@@ -234,11 +234,11 @@ def test_criterion_7_independence_on_example():
     ts = sample_grid(spec, 256)
     fr = frenet_apparatus(spec, ts)
     rep = analysis.independence_check(spec, fr)
-    ok = rep.independent and rep.set_size == 5 and rep.min_singular_value > 0.1
+    ok = rep.independent and rep.set_size == 5 and rep.min_gram_eigenvalue > 0.1
     _verdict(
         7,
         ok,
-        f"min singular value {rep.min_singular_value:.6f} over "
+        f"min Gram eigenvalue {rep.min_gram_eigenvalue:.6f} over "
         f"{ts.size} samples (5 fields)",
     )
 

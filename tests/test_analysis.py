@@ -99,7 +99,7 @@ def test_bitension_tangential_component_tracks_curvature_slope():
     ts = np.linspace(-1.5, 1.5, 161)
     rep = analysis.residual_direct(spec, ts, delta=(0.0, 1.0))
     expected = 24.0 * ts / (1.0 + ts**2) ** 3
-    assert np.abs(rep.projections["E1"] - expected).max() < 1e-8
+    assert np.abs(rep.equation_residuals[0] - expected).max() < 1e-8
 
 
 @pytest.mark.parametrize("spec", [
@@ -150,7 +150,7 @@ def test_residual_example_critical_pair(example_curve, example_grid):
 def test_residual_example_pure_bending(example_curve, example_grid):
     rep = analysis.residual_direct(example_curve, example_grid, delta=(0.0, 1.0))
     assert np.abs(rep.max_norm - 8.0) < 1e-6
-    assert rep.r == 2 and rep.m == 2
+    assert len(rep.equations) == 2  # m = r = 2 scalar equations
 
 
 def test_residual_is_linear_in_delta(example_curve):
@@ -252,7 +252,6 @@ def test_theorem_example(example_curve, example_grid):
     fr, sc = frenet_pair(example_curve, example_grid)
     chk = analysis.theorem31_check(fr, sc, delta=(-8.0, 2.0))
     assert chk.passed
-    assert chk.m == 2
     assert len(chk.equations) == 2
     assert chk.condition1_mode == "orthogonal"
     bad = analysis.theorem31_check(fr, sc, delta=(0.0, 1.0))
@@ -441,6 +440,23 @@ def test_solve_geodesic_any_pair():
     sol = analysis.solve_delta(fr, sc)
     assert sol.any_delta
     assert sol.rho is None
+    # the scan's k1 = 0 cell gives the same verdict, in every case
+    assert sol.verdict == analysis.GEODESIC_VERDICT
+    for case in ("I", "II", "III", "IV"):
+        assert _scan_row(case, -3.0, 0.0, 0.0, 0.0)[2] == sol.verdict
+
+
+@pytest.mark.parametrize("spec, ts, c, verdict", [
+    (cli.example_spec(), None, -3.0,
+     "critical for delta proportional to (rho, 1)"),
+    (families.r4_curve(0), None, -3.0,
+     "required ratio violates the case constraints"),
+    (families.rational_turn(), np.linspace(-1.2, 1.2, 97), -3.0,
+     "no constant weight ratio fits this curve"),
+], ids=["fits", "violates", "no-ratio"])
+def test_solve_delta_fit_verdicts(spec, ts, c, verdict):
+    fr, sc = frenet_pair(spec, grid(spec) if ts is None else ts)
+    assert analysis.solve_delta(fr, sc, c).verdict == verdict
 
 
 def test_solve_generic_nonconstant():
@@ -559,13 +575,13 @@ def test_independence_matches_full_gram_oracle(spec):
     rep = analysis.independence_check(spec, fr)
     oracle = full_gram_min_eigenvalue(fr)
     # the complement's eigenvalue never falls below the full Gram's
-    assert rep.min_singular_value >= oracle - 1e-14
+    assert rep.min_gram_eigenvalue >= oracle - 1e-14
     assert rep.independent == (oracle > 1e-8)
     if not rep.independent:
-        assert abs(rep.min_singular_value) <= 1e-12
+        assert abs(rep.min_gram_eigenvalue) <= 1e-12
     elif np.max(np.abs(sc.f)) < 1e-12:
         # f = 0 throughout: the frames are orthogonal to the other three
-        assert abs(rep.min_singular_value - oracle) <= 1e-13 * oracle
+        assert abs(rep.min_gram_eigenvalue - oracle) <= 1e-13 * oracle
 
 
 def test_independence_needs_no_lapack(monkeypatch, example_curve, example_grid):
@@ -587,7 +603,7 @@ def test_independence_example(example_curve, example_grid):
     assert rep.set_size == 5
     assert rep.implied_n_bound == 2  # 2n+1 = 5 already holds the order-2 set
     # min eigenvalue of the Gram matrix is 3 - sqrt(5) (hand computation)
-    assert abs(rep.min_singular_value - (3.0 - np.sqrt(5.0))) < 1e-15
+    assert abs(rep.min_gram_eigenvalue - (3.0 - np.sqrt(5.0))) < 1e-15
 
 
 def test_independence_orthogonal_helix():
@@ -596,7 +612,7 @@ def test_independence_orthogonal_helix():
     rep = analysis.independence_check(spec, fr)
     assert rep.independent
     assert rep.set_size == 6
-    assert rep.min_singular_value > 0.1
+    assert rep.min_gram_eigenvalue > 0.1
 
 
 def test_independence_dimension_bound():
@@ -616,7 +632,7 @@ def test_independence_degenerate():
     fr = curves.frenet_apparatus(spec, grid(spec))
     rep = analysis.independence_check(spec, fr)
     assert not rep.independent
-    assert abs(rep.min_singular_value) <= 1e-12
+    assert abs(rep.min_gram_eigenvalue) <= 1e-12
 
 
 def test_independence_requires_low_order():
@@ -703,7 +719,10 @@ def test_case4_constants_agree_with_classify():
 
 
 def _scan_row(case, c, k1, k2, alpha0):
-    """(rho, feasible) of a one-cell scan at exactly these floats."""
+    """(rho, feasible, verdict) of a one-cell scan at exactly these floats.
+
+    rho is None on a geodesic row, whose rho cell is empty.
+    """
     buf = io.StringIO()
     argv = ["scan", "--case", case]
     for flag, value in (("c", c), ("k1", k1), ("k2", k2), ("alpha0", alpha0)):
@@ -713,8 +732,8 @@ def _scan_row(case, c, k1, k2, alpha0):
     rows = buf.getvalue().splitlines()
     assert len(rows) == 2
     cells = rows[1].split(",")
-    assert cells[7] in ("true", "false")
-    return float(cells[5]), cells[7] == "true"
+    assert len(cells) == 9 and cells[7] in ("true", "false")
+    return float(cells[5]) if cells[5] else None, cells[7] == "true", cells[8]
 
 
 @pytest.mark.parametrize("label, c, case", [
@@ -779,9 +798,13 @@ def test_solve_delta_agrees_with_scan(params, c):
     k1 = float(np.mean(fr.curvatures[0]))
     k2 = float(np.mean(fr.curvatures[1])) if fr.r >= 3 else 0.0
     alpha0 = cls.alpha0 if cls.case == "IV" else 0.0
-    rho, feasible = _scan_row(cls.case, c, k1, k2, alpha0)
+    rho, feasible, verdict = _scan_row(cls.case, c, k1, k2, alpha0)
     assert abs(rho - sol.rho) <= 4 * math.ulp(sol.rho)
     assert feasible is sol.feasible
+    # the verdicts the table names itself read the same in both
+    named = (analysis.EXCLUDED_VERDICT, analysis.GEODESIC_VERDICT)
+    if verdict in named or sol.verdict in named:
+        assert sol.verdict == verdict
 
 
 # each squares differently through x*x and through pow
@@ -801,22 +824,22 @@ def test_case_formula_arrays_match_scalar_calls_bitwise(case):
     cs = np.array([-5.0, -3.0, -0.0, 1.0, 2.5, *rng.uniform(-6.0, 6.0, 3)])
     alphas = np.array([-0.0, np.pi / 4, -1.2, *rng.uniform(-3.0, 3.0, 3)])
     grid = np.ix_(cs, ks, ks[::-1], alphas)
-    rho, constraint, threshold, feasible = analysis.case_formula(case, *grid)
+    rho, constraint, feasible, verdict = analysis.case_formula(case, *grid)
     shape = (cs.size, ks.size, ks.size, alphas.size)
     rho = np.broadcast_to(rho, shape)
-    threshold = np.broadcast_to(threshold, shape)
     feasible = np.broadcast_to(feasible, shape)
+    verdict = np.broadcast_to(verdict, shape)
     if constraint is not None:
         constraint = np.broadcast_to(constraint, shape)
     for cell in np.ndindex(shape):
         args = [float(axis.ravel()[i]) for axis, i in zip(grid, cell)]
-        s_rho, s_constraint, s_threshold, s_feasible = analysis.case_formula(
+        s_rho, s_constraint, s_feasible, s_verdict = analysis.case_formula(
             case, *args)
-        assert type(s_rho) is float and type(s_threshold) is bool
-        assert type(s_feasible) is bool
+        assert type(s_rho) is float and type(s_feasible) is bool
+        assert type(s_verdict) is int and 0 <= s_verdict < len(analysis.VERDICTS)
         assert _bits(rho[cell]) == _bits(s_rho), (cell, args)
-        assert bool(threshold[cell]) is s_threshold
         assert bool(feasible[cell]) is s_feasible, (cell, args)
+        assert verdict[cell] == s_verdict, (cell, args)
         if constraint is None:
             assert s_constraint is None
         else:
@@ -828,6 +851,25 @@ def test_case_formula_squares_round_as_python_pow():
     rho = analysis.case_formula("I", 1.0, k, 0.0)[0]
     assert np.array_equal(_bits(rho), _bits([1.0 - x ** 2 for x in POW_SENSITIVE]))
     assert not np.array_equal(_bits(rho), _bits(1.0 - k * k))
+
+
+@pytest.mark.parametrize("case, c, k1, k2, alpha0, feasible, verdict", [
+    ("I", 1.0, 0.6, 0.5, 0.0, True, ""),
+    ("I", 1.0, 1.0, 0.0, 0.0, False, analysis.EXCLUDED_VERDICT),
+    ("I", 1.0, 0.0, 1.0, 0.0, True, analysis.GEODESIC_VERDICT),
+    ("II", -3.0, 2.0, 0.0, 0.0, True, analysis.THRESHOLD_VERDICT),
+    ("II", 2.5, 2.0, 0.0, 0.0, True, ""),
+    ("III", 0.5, 2.0, 1.0, 0.0, True, analysis.THRESHOLD_VERDICT),
+    ("III", 1.0, 2.0, 1.0, 0.0, True, ""),
+    ("IV", -5.0, 1.0, 0.5, -1.0, False, analysis.THRESHOLD_VERDICT),
+    ("IV", 7.0, 1.0, 0.5, -1.0, True, ""),
+    ("IV", 7.0, 0.0, 0.5, 1.0, True, analysis.GEODESIC_VERDICT),
+])
+def test_case_formula_verdicts(case, c, k1, k2, alpha0, feasible, verdict):
+    # k1 = 0 is a geodesic in every case, whatever the case's own rule says
+    _, _, got_feasible, code = analysis.case_formula(case, c, k1, k2, alpha0)
+    assert got_feasible is feasible
+    assert analysis.VERDICTS[code] == verdict
 
 
 def test_case_formula_rejects_unknown_case():
@@ -892,17 +934,16 @@ def test_rotated_tangent_transport_identity(example_curve, example_grid):
 
 def test_eq2_sign_matches_direct_route(example_curve):
     # the two published sign readings of the (c+3)/4 term differ by
-    # 2 (c+3)/4 k1 delta2; only "+" reproduces the curvature-tensor route
+    # 2 (c+3)/4 k1 delta2; only "+", the one the closed form implements,
+    # reproduces the curvature-tensor route
+    c, d2 = 1.0, 1.0
     ts = grid(example_curve, 64)
     fr, sc = frenet_pair(example_curve, ts)
-    direct = analysis.residual_direct(example_curve, ts, c=1.0, delta=(0.0, 1.0))
-    plus = analysis.residual_closed_form(fr, sc, c=1.0, delta=(0.0, 1.0))
-    minus = analysis.residual_closed_form(
-        fr, sc, c=1.0, delta=(0.0, 1.0), eq2_sign="-"
-    )
-    e2_direct = direct.projections["E2"]
+    direct = analysis.residual_direct(example_curve, ts, c=c, delta=(0.0, d2))
+    plus = analysis.residual_closed_form(fr, sc, c=c, delta=(0.0, d2))
+    e2_direct = direct.equation_residuals[1]
     e2_plus = plus.equation_residuals[1]
-    e2_minus = minus.equation_residuals[1]
+    e2_minus = e2_plus - 2.0 * (c + 3.0) / 4.0 * fr.curvatures[0] * d2
     assert np.abs(e2_plus - e2_direct).max() < 1e-9
     assert np.abs(e2_minus - e2_direct).min() > 1.0
     assert np.abs(np.abs(e2_plus - e2_minus) - 4.0).max() < 1e-9

@@ -199,7 +199,7 @@ def test_analyze_example_fields(capsys):
     assert report["solve"]["feasible"] is True
     assert report["solve"]["delta"] == [-4.0, 1.0]
     assert report["independence"]["applicable"] is True
-    assert report["independence"]["min_singular_value"] > 0.1
+    assert report["independence"]["min_gram_eigenvalue"] > 0.1
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-3])
@@ -251,9 +251,25 @@ def test_analyze_geodesic(tmp_path, capsys):
     assert report["class"] == "geodesic"
     assert report["rho"] is None
     assert report["solve"]["any_delta"] is True
-    assert report["solve"]["verdict"] == "any delta admissible"
+    assert report["solve"]["verdict"] == cli.GEODESIC_VERDICT
     assert report["max_residual"] < 1e-10
     assert report["independence"]["applicable"] is False
+
+
+def test_analyze_circle_k1_names_the_case1_exclusion(capsys):
+    # the k1 = 1 circle at c = 1 is case I with rho = 0: the theorem check
+    # passes at (0, 1), and the verdict is the exclusion the scan prints for
+    # the same cell, not a violated constraint
+    path = Path(__file__).resolve().parent / "curves" / "circle_k1.txt"
+    rc, out, _ = run(["analyze", "--curve", str(path), "--c=1"], capsys)
+    assert rc == 0
+    report = json.loads(out)
+    assert (report["case"], report["rho"]) == ("I", 0.0)
+    assert report["theorem"]["passed"] is True
+    assert report["solve"]["feasible"] is False
+    assert report["solve"]["verdict"] == cli.EXCLUDED_VERDICT
+    rc, out, _ = run(["scan", "--case", "I"], capsys)
+    assert rc == 0 and out.splitlines()[1].endswith("," + cli.EXCLUDED_VERDICT)
 
 
 def test_analyze_rejects_non_legendre(tmp_path, capsys):
@@ -365,7 +381,7 @@ def _parse_outcome(parser, argv, capsys):
     ["analyze", "-h"], ["verify-example", "--help"], ["scan", "-h"],
     ["flow", "-h"], ["analyze", "extra"], ["analyze", "--bogus"],
     ["analyze", "--grid"], ["flow", "--steps", "x"], ["scan"],
-    ["scan", "--case", "V"], ["verify-example", "--eq2-sign", "zz"],
+    ["scan", "--case", "V"], ["verify-example", "--grid", "x"],
     ["analyze", "analyze"], ["analyze", "--grid", "64"], ["scan", "--case", "I"],
 ])
 def test_single_subparser_reads_like_the_full_parser(argv, capsys):
@@ -407,25 +423,6 @@ def test_verify_example_passes(capsys):
     assert not any(ln.startswith("FAIL") for ln in lines)
     assert lines[-1] == "verify-example: PASS (9 checks)"
     assert any("norm 8" in ln for ln in lines)
-
-
-def test_verify_example_minus_sign_untestable_at_default_c(capsys):
-    rc, out, _ = run(
-        ["verify-example", "--grid", "128", "--eq2-sign", "minus"], capsys
-    )
-    assert rc == 0
-    assert "untestable at c=-3" in out
-    assert "verify-example: PASS" in out
-
-
-def test_verify_example_minus_sign_detected_away_from_default(capsys):
-    rc, out, _ = run(
-        ["verify-example", "--grid", "128", "--eq2-sign", "minus", "--c", "1"],
-        capsys,
-    )
-    assert rc == 1
-    assert "FAIL" in out
-    assert "untestable" not in out
 
 
 # ---------------------------------------------------------------------------

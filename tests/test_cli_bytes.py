@@ -5,14 +5,19 @@ hashes its exit code, stdout and stderr with SHA-256.  The expected digests
 below were recorded from the program as it stood before the frame-coefficient
 algebra was merged into ``model.py``; a refactor must leave every one of them
 unchanged.  The analyze reports of the built-in and example curves were
-re-recorded twice since then: when their ``min_singular_value`` moved by one
-ulp to the correctly rounded 3 - sqrt(5), and when their ``implied_n_bound``
-for the order-2 set went from 3 to the correct n >= 2.
+re-recorded three times since then: when their independence value moved by
+one ulp to the correctly rounded 3 - sqrt(5), when their ``implied_n_bound``
+for the order-2 set went from 3 to the correct n >= 2, and when that value's
+key became ``min_gram_eigenvalue`` (it is the smallest eigenvalue of a Gram
+matrix, not a singular value).  The geodesic reports were re-recorded when
+their ``solve.verdict`` became the case table's "geodesic: any delta
+admissible".
 
 Two digests record the case-I decision that a constant-curvature curve with
 rho = d1/d2 = 0 is excluded: ``analyze`` of the k1 = 1 circle at c = 1 (its
-solve block reports feasible false) and the default ``scan --case I`` (the
-k1 = 1, k2 = 0 cell, "excluded: requires delta1/delta2 != 0").
+solve block reports feasible false and the verdict "excluded: requires
+delta1/delta2 != 0") and the default ``scan --case I`` (the k1 = 1, k2 = 0
+cell, with the same verdict).
 
 A change that alters CLI output on purpose re-records the digests by running
 this file as a script (``PYTHONPATH=src python tests/test_cli_bytes.py``),
@@ -74,7 +79,6 @@ def _argvs():
     out.append(["flow", "--curve", "demos/curves/example.txt", "--grid", "64",
                 "--steps", "5", "--delta1=-8", "--delta2=2"])
     for extra in (["--grid", "64"], ["--grid", "256"], ["--grid", "4096"],
-                  ["--eq2-sign", "minus"], ["--eq2-sign", "minus", "--c=0.5"],
                   ["--c=0.5"], ["--delta1=-8", "--delta2=2"], ["--tol=1e-9"]):
         out.append(["verify-example", *extra])
     out += [
@@ -129,63 +133,63 @@ def dump(directory):
 
 DIGESTS = {
     'analyze --grid 64':
-        'cde258a495d31a03bf25eacffa98fb69bb03f3f3cb7723c169818e3709e0c9d6',
+        '13fe104d031599a3dbdee3178d750dd0dcb730c6bca3ef9f69525c2c4cae299b',
     'analyze --grid 256':
-        '4977580237d2675c04a2996ad6e6894041bcc5f13471b8d5bb5c8524f0dbbfb1',
+        'e073753e9d6ec0dd8ce83a0b2f772c1396dbd643a952daac7330318754c60b90',
     'analyze --grid 4096':
-        'f01325dc9f4746805532bbb5e32ae15f9fb10acd1b3b5678ea08b5f638869075',
+        'c13973160101594b530cb2f5db125a9945dc3fd144d71c4f87ceb79f3f586e7f',
     'analyze --grid 256 --c=0.5':
-        '11069215212e7d029bdbcf160c0b1bfc0cf4cab96a48643e56349f1b9ef10640',
+        '86d7ca87c42260f86d8279de19345eb145e61a7e49fc78db86fd6ff68e04b0fa',
     'analyze --grid 256 --c=1':
-        '7ea050f5a2155a4121d4aad072acd6b2b6068ae213aa505a86075d62c4491b37',
+        'df4484d083b0549bb075362ae78ef61b522fe0f8cc9d30f5b0a9ce3ec4343e59',
     'analyze --grid 256 --delta1=-8 --delta2=2':
-        '818944d69876093c562e3e03877de2bde086389391531f0bcabdb0ac64bb2d4c',
+        '44a98124c78e617a1b72202c1eeedc04f9727c89a86ffb6aee29c0deb4d3605d',
     'analyze --grid 256 --delta1=1.5 --delta2=-0.25':
-        '8bd0ff1adb78f7bb01e052d2d7062d97efb969feef23369309a789976377d281',
+        'e192a9f77d41af427db945e02bf76537eeabee654e2363348be9d9a51ef5a639',
     'analyze --grid 256 --tol=1e-9':
-        'a16881a59b4e5ad47da250023a4f172fd207e8f063678e0c78d2e3283ceefc27',
+        'c61fc64240fd768c7e609f2797c67ece690bbbfa4af2799bbc48dd4b7565c285',
     'analyze --grid 256 --tol=1e-3':
-        'b0d0492f8ae9c5c5c28812ec42f041083369eb03f1549255577dd0eef03201d0',
+        '680296205cef65c2c08cc9975929b4906541effb7bdb0a94b28ed3abd52a545d',
     'flow --grid 64 --steps 5':
         'f5ba184186f6a28fc28f16fc13fea6fe1c9c324339af80a0a5c7ca82aa8794e2',
     'analyze --curve demos/curves/example.txt --grid 64':
-        'e17feb66a73164165a8dc8606f70174480227e6b1a5f85dd5415109ed4f65abc',
+        '14f7bb79c0df8292ce839e04a596e88783add0e2d963a5f6c5da42cc9df43c8a',
     'analyze --curve demos/curves/example.txt --grid 256':
-        '7dda90856956cd977b35fb21b0ab95df692222fa5caa4993669c1b444b1b4492',
+        'dd6c804a2d10da715408a12f37964dbb84986976edffc7f5c2a70fd849b68544',
     'analyze --curve demos/curves/example.txt --grid 4096':
-        '2139d47118805482c8346a346b32d491195606b20670c8a7f83e6479a0ccf652',
+        '1f1f3bc5749f4adcf1a898d449e72bd95e0ff1be69185d3d8db7fc72789cf281',
     'analyze --curve demos/curves/example.txt --grid 256 --c=0.5':
-        'cfd545a9e4434dd13a24df9b4f6b1191958456061c335483528b37795e958b4a',
+        '7b2781e2b6c4bcb5ee80971c3e753646de86056bf725cefd989e466cbf1a0d80',
     'analyze --curve demos/curves/example.txt --grid 256 --c=1':
-        'a5b4b18d324980b52c51a3a288aff150854e837bae15c2adc2b4039fd4892f56',
+        'e92da024720e0429adcb588fb531fe05dc770c980d68899ccf760fc79f0374ea',
     'analyze --curve demos/curves/example.txt --grid 256 --delta1=-8 --delta2=2':
-        '3cbbb28e62a4c0f549a4312e09281ea1229817c8499cc7d4d731497b0414e2a1',
+        '24cc938250985e242cf277bc30f2ccf36fd612c2984892e746cc7c12b80e9374',
     'analyze --curve demos/curves/example.txt --grid 256 --delta1=1.5 --delta2=-0.25':
-        'bd9e128b70a35fddb73b97b1979fd6164706fd454e027c719c1d2dba3a0dccff',
+        '7e11e5361b96449b2f3a0bf9aeccc479766f80640ce324833e4ec2c606a9508d',
     'analyze --curve demos/curves/example.txt --grid 256 --tol=1e-9':
-        'e8b7a44df4d5251d7cad02762bbe5b1da8f0e18bc5ac934c0415ab3093884cf1',
+        'ffad46d65e9a9bbacbbf4db4e74493411be0fc42a4a062547356282cf00f06c3',
     'analyze --curve demos/curves/example.txt --grid 256 --tol=1e-3':
-        '71b5b29a8f6f0fc5e9d15281cb236c01bbd5a0347be7db21145997b94d64e909',
+        'a543f3aaff8bd511fc0fb4d5073ae599c0b19f2b7a9a761e9f204c928a246c6e',
     'flow --curve demos/curves/example.txt --grid 64 --steps 5':
         'f5ba184186f6a28fc28f16fc13fea6fe1c9c324339af80a0a5c7ca82aa8794e2',
     'analyze --curve demos/curves/geodesic.txt --grid 64':
-        'a205d35757df13234c5f9fad458cc8b00bd982b54e8339b77a7f38306d21d4c7',
+        '98490e4043fe4f7a84afe6783dcaa516210a8b64a8f9c7df5fe690a0ea2f6057',
     'analyze --curve demos/curves/geodesic.txt --grid 256':
-        '78a9506cfd37ddcdf0ec5b70a4289e1244fcc3dab67b82f421034ec36469cc9f',
+        '97f287fbc89a4c82a396bc626c1700640b7e596d77fd33f7992fedf070ad9399',
     'analyze --curve demos/curves/geodesic.txt --grid 4096':
-        'c972acd9add0172269cfd1de7b4715be4bcaddc0c98308281890e59fb72ca5d4',
+        'b773000a36bc053ae0926d3875cbb422557452751a5131f268d9ec978d98e218',
     'analyze --curve demos/curves/geodesic.txt --grid 256 --c=0.5':
-        '9c28687f786438a296b7c91f04125ca95ca5ecb6616cec75f217d3e5274e44f2',
+        '79d413480695ac1b343fccb5b498fa97bef9ab7a7ef5d29afe9b9c064433d851',
     'analyze --curve demos/curves/geodesic.txt --grid 256 --c=1':
-        '31fcbd4e3c0bba92c06a376f379a651e8b59527b9318eb4bf1c01a4337ad9f4f',
+        '45817c4aeb97f739c0b53cee38de66cc9789d974d22a482633fccb0b176d6716',
     'analyze --curve demos/curves/geodesic.txt --grid 256 --delta1=-8 --delta2=2':
-        'a4d620f1ba91c6667e200f48075d04745ee86c7f2ebd6158e655bef546fcde49',
+        'dcfc03aa4d65f52254b574903f7c13324a9871e4b7c5cde730a6c4a49a92fe72',
     'analyze --curve demos/curves/geodesic.txt --grid 256 --delta1=1.5 --delta2=-0.25':
-        'f2144189ec66f7012dcde767dde2ba16ccca3d848070786eb2ac62a0441a3eb3',
+        'f5af9c890409ba350ba9a9e7c82990a2a574a25e290b70ff2ef35aed8425bda8',
     'analyze --curve demos/curves/geodesic.txt --grid 256 --tol=1e-9':
-        'ff3b1fcc63bd403a9f5d83743002959b527fbf0edf376cc3c7451dd73b72f165',
+        '12a5029f8c55e769493a891c9b8caecb87bf683cf2d7ffc1ce715a013bc578e3',
     'analyze --curve demos/curves/geodesic.txt --grid 256 --tol=1e-3':
-        'fe32363675e372532c68bd58d1722534334f3e610779cf56a11cbdbb7c8691fa',
+        'df823b61016bceaa2860d1d48909fcfc9a66811eca6e797c32daf7ddb2c9ef89',
     'flow --curve demos/curves/geodesic.txt --grid 64 --steps 5':
         '9953db1bd97bbdbd17068ef1724b97387ad830b66e52b9e52bda7a4c65606f37',
     'analyze --grid 15':
@@ -195,11 +199,11 @@ DIGESTS = {
     'analyze --curve tests/curves/shared_trig.txt --grid 256':
         '6c1299605ea4b7ae407dcf275ed0aa9cdf7f2cc2b2f11a1ac4c14ca053d964a4',
     'analyze --curve tests/curves/elementary.txt --grid 64':
-        'ba063077ac0abf3a0f9521dacbdbd81589805646d15e91b7101d59928557b4ac',
+        '72bf315910916ca1589d00cf2899db8e573bbfaad63f643e696d9411b8568c0f',
     'analyze --curve tests/curves/elementary.txt --grid 256':
-        '662c873070505d8a942efc8a0b0826a379dcd424d822022f534201bcebcd34d4',
+        '3dbf5f34975f06e330e4daf485d5e303870287a6ae7b40594757bb78e30215f3',
     'analyze --curve tests/curves/circle_k1.txt --c=1':
-        'ae4c498cba7ac545bba8a76595b0c62f28e1ba5c625266f488638ac445eb8be4',
+        '4810a2ed4b5b2d55e32819634679c0ecb98d172225cce78ba091a975c042c15e',
     'analyze --curve tests/curves/domain_error.txt':
         '62a60fd0470888ed26326878cc766e953b6c92336865d6646e24f6d5050b6973',
     'flow --curve tests/curves/domain_error.txt --steps 1':
@@ -212,10 +216,6 @@ DIGESTS = {
         '357b4ee4ce0e8abed3d94c87792ccfc7e0b3219594ecc395ae991b958babe891',
     'verify-example --grid 4096':
         'ee2357cdfc9a651badecf98f76a5e8742b5b8a7ef9a4b69f47b78eedc8ad6b9b',
-    'verify-example --eq2-sign minus':
-        '6d19aa7e66fee36f8f748dae82a0764d3da7662a505e54319e2a4a455c4131ec',
-    'verify-example --eq2-sign minus --c=0.5':
-        '6951e96c0e9087fe3b488d6cd43f62106c2ceb5215e11c701bebfe336b51d828',
     'verify-example --c=0.5':
         '88f8b74cf15a14e69a4c669e1a9dc7168c51b16ef0b27875ecb29350e038f1ec',
     'verify-example --delta1=-8 --delta2=2':

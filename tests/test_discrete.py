@@ -267,6 +267,20 @@ def test_descend_underflow_diagnostic(monkeypatch):
     assert len(res.rows) == 1
 
 
+def test_descend_stops_on_an_uphill_projected_direction():
+    # the contact projection replaces the z row of -g, so on this noisy
+    # open span the direction d has <-g, d> < 0 at step 2 while |d|^2 is
+    # large: tested against |d|^2 the line search shrank to an underflow,
+    # tested against the true slope the loop names the cause
+    dc = discrete.DiscreteCurve.from_spec(families.orthogonal_helix(), 32,
+                                          span=(0.2, 2.6))
+    dc.points += 1e-3 * np.random.default_rng(11).standard_normal(dc.points.shape)
+    res = discrete.descend(dc, (0.0, 1.0), steps=3, rate=0.01, c=-1.0)
+    assert res.stopped
+    assert res.diagnostic == "projected direction is not a descent direction at step 2"
+    assert len(res.rows) == 2 and res.energies[1] < res.energies[0]
+
+
 def test_descent_rows_are_csv_ready():
     res = discrete.descend(circle_curve(24), (1.0, 1.0), steps=2, rate=0.01)
     assert [row.step for row in res.rows] == list(range(len(res.rows)))
