@@ -19,6 +19,10 @@ solve block reports feasible false and the verdict "excluded: requires
 delta1/delta2 != 0") and the default ``scan --case I`` (the k1 = 1, k2 = 0
 cell, with the same verdict).
 
+Two flow lines pin the descent's other paths: ``--rate 1``, where most
+line-search trials are rejected and the step backtracks, and zero weights,
+where the first step stops with "zero gradient".
+
 A change that alters CLI output on purpose re-records the digests by running
 this file as a script (``PYTHONPATH=src python tests/test_cli_bytes.py``),
 pastes the printed table over ``DIGESTS``, and says in CHANGES.md which
@@ -78,6 +82,10 @@ def _argvs():
     out.append(["flow", "--curve", "tests/curves/domain_error.txt", "--steps", "1"])
     out.append(["flow", "--curve", "demos/curves/example.txt", "--grid", "64",
                 "--steps", "5", "--delta1=-8", "--delta2=2"])
+    # a large rate: most line-search trials are rejected and backtrack
+    out.append(["flow", "--grid", "64", "--steps", "5", "--rate", "1"])
+    # zero weights: the first step stops with "zero gradient"
+    out.append(["flow", "--grid", "32", "--steps", "3", "--delta1=0", "--delta2=0"])
     for extra in (["--grid", "64"], ["--grid", "256"], ["--grid", "4096"],
                   ["--c=0.5"], ["--delta1=-8", "--delta2=2"], ["--tol=1e-9"]):
         out.append(["verify-example", *extra])
@@ -210,6 +218,10 @@ DIGESTS = {
         '62a60fd0470888ed26326878cc766e953b6c92336865d6646e24f6d5050b6973',
     'flow --curve demos/curves/example.txt --grid 64 --steps 5 --delta1=-8 --delta2=2':
         'a2281df7f7574372bf2a528cf8d7de922bf19a0e1cbe17fcb19354e736f1fcc3',
+    'flow --grid 64 --steps 5 --rate 1':
+        '34cd558bd72f84adaa0821757b1eaede89f710221c1d4fc17bf1c40faff84916',
+    'flow --grid 32 --steps 3 --delta1=0 --delta2=0':
+        '0626a1be0bbfe606a58d99e4a5b3177f308bec07b387884667882c6c833c2df8',
     'verify-example --grid 64':
         '2caa3bf7ef5edfc181643283ccc92ed73d01f592ce4e940d3522c8d4ce20c678',
     'verify-example --grid 256':
