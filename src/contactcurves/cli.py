@@ -144,11 +144,19 @@ def _write_output(text, out):
             raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
+def _require_finite(args, *names):
+    for name in names:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"--{name} must be finite, got {value}")
+
+
 def _validate_common(args):
     if args.grid < 16:
         raise ConfigError(f"--grid must be >= 16, got {args.grid}")
     if not args.tol > 0.0:
         raise ConfigError(f"--tol must be positive, got {args.tol}")
+    _require_finite(args, "c", "delta1", "delta2", "tol")
 
 
 def _load_spec(args):
@@ -312,7 +320,7 @@ def cmd_verify_example(args):
         ("weight solve recovers the critical ratio",
          sol.rho is not None and abs(sol.rho + 4.0) < 1e-6 and sol.feasible,
          f"rho = {'none' if sol.rho is None else reporting.format_float(sol.rho)}"),
-        ("closed form (eq2 sign plus) matches the direct route within 1e-6",
+        ("closed form matches the direct route within 1e-6",
          route_gap < 1e-6, f"max gap {reporting.format_float(route_gap)}"),
     ]
 
@@ -404,6 +412,7 @@ def cmd_flow(args):
         raise ConfigError(f"--steps must be >= 0, got {args.steps}")
     if not args.rate > 0.0:
         raise ConfigError(f"--rate must be positive, got {args.rate}")
+    _require_finite(args, "rate")
     spec, _ = _load_spec(args)
     curve = discrete.DiscreteCurve.from_spec(spec, args.grid)
     curve.validate(tol=max(args.tol, 1e-3))

@@ -15,15 +15,17 @@ measure by Richardson ratios.
 The gradient of the discrete energy is exact: one forward pass through the
 chord frames and vertex tensions, then the adjoint of the same local
 stencils in reverse order, so a gradient costs O(N) like the energy itself.
-Each polyline's chord frames and vertex tensions are built once, and the
-energy, residual and gradient all read that one build.  A closed polyline
-is padded with its wraparound column by one concatenation and then runs
-the open-curve slice stencils, so both kinds share one set of differences.
-Descent steps are projected onto the kernel of the contact form at each
-vertex, so the polyline stays (approximately) Legendre without Lagrange
-multipliers; the defect is monitored and reported rather than assumed away.
-Each accepted iterate's energy, chord defect, residual and next gradient
-come from the stencils its line-search trial already built.
+A DiscreteCurve is an immutable value that carries its own stencils: its
+constructor builds the chord velocities, their frame coefficients and the
+vertex tensions once, and the energy, residual, gradient and defect
+functions only read them.  A closed polyline is padded with its wraparound
+column by one concatenation and then runs the open-curve slice stencils,
+so both kinds share one set of differences.  Descent steps are projected
+onto the kernel of the contact form at each vertex, so the polyline stays
+(approximately) Legendre without Lagrange multipliers; the defect is
+monitored and reported rather than assumed away.  Each line-search trial
+is one new polyline, so an accepted iterate's row and next gradient read
+the stencils its trial already built.
 
 The energy slope along a variation V equals sigma * 2 * the pairing with
 the analyzer residual, with one global sign sigma = +1 for every curve,
@@ -33,7 +35,8 @@ nonzero bending residual and check it on random curves and variations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,33 +69,65 @@ class VariationError(ValueError):
     """A variation field violates its preconditions."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DiscreteCurve:
     """Polyline in R^{2n+1} with uniform parameter spacing h.
 
     points holds coordinates, shape (2n+1, N).  Closed curves wrap around
     (N segments); open curves have N-1 segments and their endpoints are
     treated as fixed by the gradient and descent operations.
+
+    The value is immutable: points is a read-only copy of the array passed
+    in, and the stencils every function reads are built once here.  dp and
+    ybar are the chord velocities and midpoint y rows and u their frame
+    coefficients, with M columns: N for closed curves (wraparound chord
+    included), N-1 for open ones.  tau is the discrete nabla_T T and T the
+    tangent at the vertices with a centered stencil: all N for closed
+    curves, the N-2 interior ones for open curves.  A degenerate segment
+    raises, since the polyline then has no usable direction there.
     """
 
     points: np.ndarray
     n: int
     h: float
     closed: bool = True
+    dp: np.ndarray = field(init=False, repr=False)
+    ybar: np.ndarray = field(init=False, repr=False)
+    u: np.ndarray = field(init=False, repr=False)
+    tau: np.ndarray = field(init=False, repr=False)
+    T: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[0] != 2 * self.n + 1:
+        points = np.array(self.points, dtype=float)
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        if points.ndim != 2 or points.shape[0] != 2 * self.n + 1:
             raise DiscreteCurveError(
                 f"points must have shape (2n+1, N) with n={self.n}, "
-                f"got {self.points.shape}"
+                f"got {points.shape}"
             )
-        if self.points.shape[1] < 5:
+        if points.shape[1] < 5:
             raise DiscreteCurveError(
-                f"need at least 5 samples, got {self.points.shape[1]}"
+                f"need at least 5 samples, got {points.shape[1]}"
             )
         if not self.h > 0:
             raise DiscreteCurveError(f"spacing must be positive, got {self.h}")
+        n, h = self.n, self.h
+        p = _wrap(points, after=1) if self.closed else points
+        y = p[n:2 * n]
+        dp = (p[:, 1:] - p[:, :-1]) / h
+        ybar = 0.5 * (y[:, :-1] + y[:, 1:])
+        lengths = np.linalg.norm(dp, axis=0) * h
+        bad = np.nonzero(lengths < 1e-13 * max(1.0, float(np.abs(p).max())))[0]
+        if bad.size:
+            raise DiscreteCurveError(f"degenerate segment at index {int(bad[0])}")
+        u = to_frame(dp, ybar, n)
+        w = _wrap(u, before=1) if self.closed else u
+        T = 0.5 * (w[:, 1:] + w[:, :-1])
+        tau = (w[:, 1:] - w[:, :-1]) / h + gamma_frame(n, T, T)
+        for name, value in zip(("dp", "ybar", "u", "tau", "T"), (dp, ybar, u, tau, T)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def N(self):
@@ -119,42 +154,15 @@ class DiscreteCurve:
             h = (b - a) / (N - 1)
             closed = False
         pts = coordinate_jets(spec, ts, order=1).coeffs[0]
-        return cls(points=pts.copy(), n=spec.n, h=h, closed=closed)
-
-    def copy(self):
-        return DiscreteCurve(self.points.copy(), self.n, self.h, self.closed)
-
-    def _chords(self):
-        """Chord velocities dp (2n+1, M) and midpoint y rows ybar (n, M).
-
-        M = N for closed curves (wraparound chord included) and M = N-1
-        for open ones.  Raises on a degenerate segment, since the polyline
-        then has no usable direction there.
-        """
-        p = _wrap(self.points, after=1) if self.closed else self.points
-        y = p[self.n:2 * self.n]
-        dp = (p[:, 1:] - p[:, :-1]) / self.h
-        ybar = 0.5 * (y[:, :-1] + y[:, 1:])
-        lengths = np.linalg.norm(dp, axis=0) * self.h
-        scale = max(1.0, float(np.abs(p).max()))
-        bad = np.nonzero(lengths < 1e-13 * scale)[0]
-        if bad.size:
-            raise DiscreteCurveError(f"degenerate segment at index {int(bad[0])}")
-        return dp, ybar
+        return cls(points=pts, n=spec.n, h=h, closed=closed)
 
     def chord_frames(self):
-        """Frame coefficients of chord velocities at segment midpoints.
-
-        Shape (2n+1, M) with M = N for closed curves (wraparound chord
-        included) and M = N-1 for open ones.  Raises on a degenerate
-        segment, since the polyline then has no usable direction there.
-        """
-        dp, ybar = self._chords()
-        return to_frame(dp, ybar, self.n)
+        """Frame coefficients u of chord velocities at segment midpoints."""
+        return self.u
 
     def max_defect(self):
         """Largest |eta| of any chord velocity (0 for exactly Legendre data)."""
-        return float(np.abs(self.chord_frames()[2 * self.n]).max())
+        return float(np.abs(self.u[2 * self.n]).max())
 
     def validate(self, tol=1e-3):
         """Check the polyline invariants; returns the max chord defect."""
@@ -185,84 +193,28 @@ def _wrap(a, before=0, after=0):
     return np.concatenate([a[:, a.shape[1] - before:], a, a[:, :after]], axis=1)
 
 
-@dataclass(frozen=True)
-class _Stencils:
-    """One polyline's chord and vertex data, built once and only read after.
-
-    dp and ybar are the chord velocities and midpoint y rows, u their frame
-    coefficients, tau and T the vertex tensions and tangents.
-    """
-
-    dp: np.ndarray
-    ybar: np.ndarray
-    u: np.ndarray
-    tau: np.ndarray
-    T: np.ndarray
-
-
-def _stencils(curve: DiscreteCurve) -> _Stencils:
-    dp, ybar = curve._chords()
-    u = to_frame(dp, ybar, curve.n)
-    tau, T = _vertex_tension(curve, u)
-    return _Stencils(dp, ybar, u, tau, T)
-
-
-def _vertex_tension(curve: DiscreteCurve, u):
-    """Discrete nabla_T T at vertices, shape (dim, K).
-
-    K = N for closed curves; for open curves only the N-2 interior
-    vertices have a centered stencil.  u is curve.chord_frames().  Also
-    returns the vertex tangents used for curvature terms downstream.
-    """
-    if curve.closed:
-        u = _wrap(u, before=1)
-    du = (u[:, 1:] - u[:, :-1]) / curve.h
-    T = 0.5 * (u[:, 1:] + u[:, :-1])
-    tau = du + gamma_frame(curve.n, T, T)
-    return tau, T
-
-
-def _energy(curve: DiscreteCurve, st: _Stencils, delta) -> EnergyBreakdown:
+def discrete_energy(curve: DiscreteCurve, delta) -> EnergyBreakdown:
+    """Composite-midpoint discretization of the two energy terms."""
     d1, d2 = float(delta[0]), float(delta[1])
-    dirichlet = d1 * curve.h * float(np.sum(st.u * st.u))
-    bending = d2 * curve.h * float(np.sum(st.tau * st.tau))
+    dirichlet = d1 * curve.h * float(np.sum(curve.u * curve.u))
+    bending = d2 * curve.h * float(np.sum(curve.tau * curve.tau))
     return EnergyBreakdown(dirichlet=dirichlet, bending=bending)
 
 
-def discrete_energy(curve: DiscreteCurve, delta) -> EnergyBreakdown:
-    """Composite-midpoint discretization of the two energy terms."""
-    return _energy(curve, _stencils(curve), delta)
-
-
-def _covariant_difference(n, h, field, chords, tangents):
+def _covariant_difference(n, h, values, chords, tangents):
     """One centered covariant differencing pass, vertices -> vertices.
 
-    Differences a vertex field to the midpoints of the chords between its
-    columns, whose frame velocities are `chords`, then back to its inner
-    columns, whose vertex tangents are `tangents`; each pass costs one
-    column on both sides.
+    Differences a vertex field's `values` to the midpoints of the chords
+    between its columns, whose frame velocities are `chords`, then back to
+    its inner columns, whose vertex tangents are `tangents`; each pass
+    costs one column on both sides.
     """
-    mid = (field[:, 1:] - field[:, :-1]) / h + gamma_frame(
-        n, chords, 0.5 * (field[:, 1:] + field[:, :-1])
+    mid = (values[:, 1:] - values[:, :-1]) / h + gamma_frame(
+        n, chords, 0.5 * (values[:, 1:] + values[:, :-1])
     )
     return (mid[:, 1:] - mid[:, :-1]) / h + gamma_frame(
         n, tangents, 0.5 * (mid[:, 1:] + mid[:, :-1])
     )
-
-
-def _residual(curve: DiscreteCurve, st: _Stencils, delta, c):
-    d1, d2 = float(delta[0]), float(delta[1])
-    tau, T = st.tau, st.T
-    if curve.closed:
-        tau2 = _covariant_difference(curve.n, curve.h, _wrap(tau, 1, 1),
-                                     _wrap(st.u, before=1), T)
-    else:
-        # tau sits on vertices 1..N-2 with chords 1..N-3 between them; two
-        # stencil layers leave vertices 2..N-3
-        tau2 = _covariant_difference(curve.n, curve.h, tau, st.u[:, 1:-1], T[:, 1:-1])
-        tau, T = tau[:, 1:-1], T[:, 1:-1]
-    curv = space_form_curvature_frame(c, T, tau, T, curve.n)
-    return d2 * (tau2 - curv) - d1 * tau
 
 
 def discrete_residual(curve: DiscreteCurve, delta, c=-3.0):
@@ -273,11 +225,18 @@ def discrete_residual(curve: DiscreteCurve, delta, c=-3.0):
     is the discrete counterpart of the analyzer's direct route and is
     what descent trajectories report.
     """
-    return _residual(curve, _stencils(curve), delta, c)
-
-
-def _max_residual_norm(curve: DiscreteCurve, st: _Stencils, delta, c):
-    return float(np.linalg.norm(_residual(curve, st, delta, c), axis=0).max())
+    d1, d2 = float(delta[0]), float(delta[1])
+    tau, T = curve.tau, curve.T
+    if curve.closed:
+        tau2 = _covariant_difference(curve.n, curve.h, _wrap(tau, 1, 1),
+                                     _wrap(curve.u, before=1), T)
+    else:
+        # tau sits on vertices 1..N-2 with chords 1..N-3 between them; two
+        # stencil layers leave vertices 2..N-3
+        tau2 = _covariant_difference(curve.n, curve.h, tau, curve.u[:, 1:-1], T[:, 1:-1])
+        tau, T = tau[:, 1:-1], T[:, 1:-1]
+    curv = space_form_curvature_frame(c, T, tau, T, curve.n)
+    return d2 * (tau2 - curv) - d1 * tau
 
 
 def max_residual_norm(curve: DiscreteCurve, delta, c=-3.0):
@@ -285,13 +244,21 @@ def max_residual_norm(curve: DiscreteCurve, delta, c=-3.0):
 
     This is the analyzer_residual column of a descent row.
     """
-    return _max_residual_norm(curve, _stencils(curve), delta, c)
+    return float(np.linalg.norm(discrete_residual(curve, delta, c), axis=0).max())
 
 
-def _energy_gradient(curve: DiscreteCurve, st: _Stencils, delta):
+def energy_gradient(curve: DiscreteCurve, delta):
+    """Exact gradient of discrete_energy(curve, delta).total, shape (dim, N).
+
+    Reverse-mode sweep through the stencils of discrete_energy: from the
+    vertex tensions through the connection term Gamma(T, T), the centered
+    difference and the average to the chord frames, then through the frame
+    change to the chord differences and midpoints, and onto the vertices.
+    Endpoint columns of an open curve are fixed and come back zero.
+    """
     d1, d2 = float(delta[0]), float(delta[1])
     n, h = curve.n, curve.h
-    dp, ybar, u, tau, T = st.dp, st.ybar, st.u, st.tau, st.T
+    dp, ybar, u, tau, T = curve.dp, curve.ybar, curve.u, curve.tau, curve.T
 
     # tau = du + Gamma(T, T), where Gamma(T, T) = (2e b, -2e a, 0) for T = (a, b, e)
     g_tau = 2.0 * d2 * h * tau
@@ -332,18 +299,6 @@ def _energy_gradient(curve: DiscreteCurve, st: _Stencils, delta):
     return grad
 
 
-def energy_gradient(curve: DiscreteCurve, delta):
-    """Exact gradient of discrete_energy(curve, delta).total, shape (dim, N).
-
-    Reverse-mode sweep through the stencils of discrete_energy: from the
-    vertex tensions through the connection term Gamma(T, T), the centered
-    difference and the average to the chord frames, then through the frame
-    change to the chord differences and midpoints, and onto the vertices.
-    Endpoint columns of an open curve are fixed and come back zero.
-    """
-    return _energy_gradient(curve, _stencils(curve), delta)
-
-
 def _project_contact(curve: DiscreteCurve, disp):
     """Project vertex displacements onto the contact planes.
 
@@ -358,43 +313,6 @@ def _project_contact(curve: DiscreteCurve, disp):
 
 
 # -- first variation ---------------------------------------------------------
-
-
-def _variation_data(spec, delta, V, N, eps, c):
-    if spec.closed:
-        ts = sample_grid(spec, N)
-        h = spec.period / N
-    else:
-        ts = np.linspace(0.0, spec.period, N)
-        h = spec.period / (N - 1)
-    base = DiscreteCurve.from_spec(spec, N)
-    if callable(V):
-        cols = np.stack([np.asarray(V(t), dtype=float) for t in ts], axis=1)
-    else:
-        cols = np.asarray(V, dtype=float)
-        if cols.shape != (base.dim, N):
-            raise VariationError(
-                f"variation samples must have shape ({base.dim}, {N}), got {cols.shape}"
-            )
-    cols = _project_contact(base, cols)
-    if not spec.closed:
-        edge = np.abs(cols[:, [0, 1, -2, -1]]).max()
-        if edge > 1e-10:
-            raise VariationError(
-                "variation must vanish near the fixed endpoints "
-                f"(boundary magnitude {edge:.3e})"
-            )
-    plus = DiscreteCurve(base.points + eps * cols, base.n, h, base.closed)
-    minus = DiscreteCurve(base.points - eps * cols, base.n, h, base.closed)
-    slope = (discrete_energy(plus, delta).total - discrete_energy(minus, delta).total) / (2 * eps)
-
-    rep = analysis.residual_direct(spec, ts, c=c, delta=delta)
-    v_frame = to_frame(cols, base.points[base.n:2 * base.n], base.n)
-    weights = np.full(N, h)
-    if not spec.closed:
-        weights[0] = weights[-1] = 0.5 * h
-    pairing = float(np.sum(weights * np.sum(rep.vector * v_frame, axis=0)))
-    return slope, pairing
 
 
 @dataclass(frozen=True)
@@ -416,13 +334,40 @@ def first_variation_check(spec, delta, V, N=256, eps=1e-4, c=-3.0):
     up to O(h^2 + eps^2) when the implementation is consistent, with the
     global sign sigma = +1.
     """
-    slope, pairing = _variation_data(spec, delta, V, N, eps, c)
+    ts = sample_grid(spec, N)
+    base = DiscreteCurve.from_spec(spec, N)
+    if callable(V):
+        cols = np.stack([np.asarray(V(t), dtype=float) for t in ts], axis=1)
+    else:
+        cols = np.asarray(V, dtype=float)
+        if cols.shape != (base.dim, N):
+            raise VariationError(
+                f"variation samples must have shape ({base.dim}, {N}), got {cols.shape}"
+            )
+    cols = _project_contact(base, cols)
+    if not spec.closed:
+        edge = np.abs(cols[:, [0, 1, -2, -1]]).max()
+        if edge > 1e-10:
+            raise VariationError(
+                "variation must vanish near the fixed endpoints "
+                f"(boundary magnitude {edge:.3e})"
+            )
+    plus = DiscreteCurve(base.points + eps * cols, base.n, base.h, base.closed)
+    minus = DiscreteCurve(base.points - eps * cols, base.n, base.h, base.closed)
+    slope = (discrete_energy(plus, delta).total - discrete_energy(minus, delta).total) / (2 * eps)
+
+    rep = analysis.residual_direct(spec, ts, c=c, delta=delta)
+    v_frame = to_frame(cols, base.points[base.n:2 * base.n], base.n)
+    weights = np.full(N, base.h)
+    if not spec.closed:
+        weights[0] = weights[-1] = 0.5 * base.h
+    pairing = float(np.sum(weights * np.sum(rep.vector * v_frame, axis=0)))
     return VariationReport(
         slope=slope,
         pairing=pairing,
         sigma=1,
         difference=abs(slope - 2.0 * pairing),
-        h=(spec.period / N) if spec.closed else spec.period / (N - 1),
+        h=base.h,
         eps=eps,
     )
 
@@ -450,30 +395,25 @@ class DescentResult:
         return [row.energy for row in self.rows]
 
 
-def _descent_row(step, curve, st, energy, delta, c):
-    """The row of an iterate, read off the stencils its energy came from."""
-    defect = float(np.abs(st.u[2 * curve.n]).max())
-    return DescentRow(step, energy, defect, _max_residual_norm(curve, st, delta, c))
-
-
-def descend(curve: DiscreteCurve, delta, steps=50, rate=0.05, c=-3.0,
-            shrink=0.5) -> DescentResult:
+def descend(curve: DiscreteCurve, delta, steps=50, rate=0.05, c=-3.0) -> DescentResult:
     """Projected gradient descent with a backtracking line search.
 
     Acceptance uses the Armijo test against the slope <-g, d> of the
     energy along the projected direction d, so accepted iterates strictly
     lower the energy; a plain <= would happily take no-op steps near a
     minimum.  The contact projection is not orthogonal, so d can point
-    uphill: where <-g, d> is not positive the loop stops and says so.  When
-    backtracking shrinks the step below rate * 1e-12 the loop stops and
-    says so in the diagnostic instead of looping forever.
+    uphill: where <-g, d> is not positive the loop stops and says so.
+    Each rejected trial halves the step; when it falls below rate * 1e-12
+    the loop stops and says so in the diagnostic instead of looping
+    forever, which is why rate must be finite and positive.
     """
-    cur = curve.copy()
-    st = _stencils(cur)
-    energy = _energy(cur, st, delta).total
-    rows = [_descent_row(0, cur, st, energy, delta, c)]
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise ValueError(f"rate must be finite and positive, got {rate}")
+    cur = curve
+    energy = discrete_energy(cur, delta).total
+    rows = [DescentRow(0, energy, cur.max_defect(), max_residual_norm(cur, delta, c))]
     for step in range(1, steps + 1):
-        grad = _energy_gradient(cur, st, delta)
+        grad = energy_gradient(cur, delta)
         direction = _project_contact(cur, -grad)
         if not cur.closed:
             direction[:, 0] = 0.0
@@ -491,16 +431,16 @@ def descend(curve: DiscreteCurve, delta, steps=50, rate=0.05, c=-3.0,
         alpha = rate
         while True:
             trial = DiscreteCurve(cur.points + alpha * direction, cur.n, cur.h, cur.closed)
-            trial_st = _stencils(trial)
-            trial_energy = _energy(trial, trial_st, delta).total
+            trial_energy = discrete_energy(trial, delta).total
             if trial_energy <= energy - 1e-4 * alpha * slope:
                 break
-            alpha *= shrink
+            alpha *= 0.5
             if alpha < rate * 1e-12:
                 return DescentResult(
                     cur, rows, stopped=True,
                     diagnostic=f"line search step underflow at step {step}",
                 )
-        cur, st, energy = trial, trial_st, trial_energy
-        rows.append(_descent_row(step, cur, st, energy, delta, c))
+        cur, energy = trial, trial_energy
+        rows.append(DescentRow(step, energy, cur.max_defect(),
+                               max_residual_norm(cur, delta, c)))
     return DescentResult(cur, rows)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactcurves import analysis, cli, curves, families, reporting
+from contactcurves import analysis, cli, curves, discrete, families, reporting
 from contactcurves.cli import (
     ConfigError,
     example_spec,
@@ -575,10 +575,55 @@ def test_flow_monotone_energy(capsys):
     assert all(b <= a for a, b in zip(energies, energies[1:]))
 
 
-def test_flow_bad_rate(capsys):
-    rc, _, err = run(["flow", "--rate", "0"], capsys)
-    assert rc == 2
-    assert "--rate" in err
+@pytest.mark.parametrize("value, message", [
+    ("0", "must be positive, got 0.0"),
+    ("nan", "must be positive, got nan"),
+    ("-inf", "must be positive, got -inf"),
+    ("inf", "must be finite, got inf"),
+])
+def test_flow_bad_rate(capsys, value, message):
+    # --steps 0: a program that let an infinite rate through returns at
+    # once instead of backtracking forever
+    rc, out, err = run(["flow", "--grid", "32", "--steps", "0", f"--rate={value}"], capsys)
+    assert (rc, out, err) == (2, "", f"error: --rate {message}\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify-example", "flow"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("c", "inf", "must be finite, got inf"),
+    ("c", "nan", "must be finite, got nan"),
+    ("delta1", "-inf", "must be finite, got -inf"),
+    ("delta1", "nan", "must be finite, got nan"),
+    ("delta2", "inf", "must be finite, got inf"),
+    ("delta2", "nan", "must be finite, got nan"),
+    ("tol", "inf", "must be finite, got inf"),
+    ("tol", "nan", "must be positive, got nan"),
+    ("tol", "-inf", "must be positive, got -inf"),
+])
+def test_non_finite_flags_exit_2(capsys, command, flag, value, message):
+    argv = [command, "--grid", "32", f"--{flag}={value}"]
+    if command == "flow":
+        argv += ["--steps", "1"]
+    rc, out, err = run(argv, capsys)
+    assert (rc, out, err) == (2, "", f"error: --{flag} {message}\n")
+
+
+def test_flow_builds_the_starting_polyline_once(monkeypatch, capsys):
+    # validate() and the zero-step descent read the polyline from_spec
+    # built; its constructor is the one chord build
+    built = []
+    post_init = discrete.DiscreteCurve.__post_init__
+
+    def counting_init(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(discrete.DiscreteCurve, "__post_init__", counting_init)
+    frames = _count_calls(monkeypatch, "to_frame", (discrete,))
+    rc, _, err = run(["flow", "--steps", "0"], capsys)
+    assert rc == 0, err
+    assert len(built) == 1
+    assert frames["calls"] == 1
 
 
 def test_entry_point_subprocess(tmp_path):

@@ -11,7 +11,9 @@ for the order-2 set went from 3 to the correct n >= 2, and when that value's
 key became ``min_gram_eigenvalue`` (it is the smallest eigenvalue of a Gram
 matrix, not a singular value).  The geodesic reports were re-recorded when
 their ``solve.verdict`` became the case table's "geodesic: any delta
-admissible".
+admissible".  The six ``verify-example`` digests were re-recorded when the
+ninth check line dropped "(eq2 sign plus)", a sign choice the program no
+longer offers.
 
 Two digests record the case-I decision that a constant-curvature curve with
 rho = d1/d2 = 0 is excluded: ``analyze`` of the k1 = 1 circle at c = 1 (its
@@ -223,17 +225,17 @@ DIGESTS = {
     'flow --grid 32 --steps 3 --delta1=0 --delta2=0':
         '0626a1be0bbfe606a58d99e4a5b3177f308bec07b387884667882c6c833c2df8',
     'verify-example --grid 64':
-        '2caa3bf7ef5edfc181643283ccc92ed73d01f592ce4e940d3522c8d4ce20c678',
+        '940d2aa31c3613e497e331d90125be53daf9706cb178e154ab0daa8c81557064',
     'verify-example --grid 256':
-        '357b4ee4ce0e8abed3d94c87792ccfc7e0b3219594ecc395ae991b958babe891',
+        '5307b1536e4f3bc2f23128129465ad0054fecd65753af57d5522e324664ee329',
     'verify-example --grid 4096':
-        'ee2357cdfc9a651badecf98f76a5e8742b5b8a7ef9a4b69f47b78eedc8ad6b9b',
+        'a3332041bb0a67fdddf2506c8ad865a188bd0c8e52177a44f4d9e2dc3fff9c63',
     'verify-example --c=0.5':
-        '88f8b74cf15a14e69a4c669e1a9dc7168c51b16ef0b27875ecb29350e038f1ec',
+        '464c93fadf813a14ba0e6536b391b9d10903bf91710ad7d9cdf5abde2bf1532c',
     'verify-example --delta1=-8 --delta2=2':
-        '357b4ee4ce0e8abed3d94c87792ccfc7e0b3219594ecc395ae991b958babe891',
+        '5307b1536e4f3bc2f23128129465ad0054fecd65753af57d5522e324664ee329',
     'verify-example --tol=1e-9':
-        '357b4ee4ce0e8abed3d94c87792ccfc7e0b3219594ecc395ae991b958babe891',
+        '5307b1536e4f3bc2f23128129465ad0054fecd65753af57d5522e324664ee329',
     'scan --case I --k1-range=0.2:2:5 --k2-range=0:1.5:4':
         'b27addca5e27ee07d26214d2041fb0b7e8b6132f78f78d3cac0f634fa6743147',
     'scan --case II --c-range=-3:2:3 --k1-range=0:2:5 --k2-range=0:1:3':

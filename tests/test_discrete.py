@@ -1,5 +1,8 @@
 """Discrete energy, first variation, and projected descent."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,11 @@ from contactcurves import curves, discrete, families
 
 def circle_curve(N=256):
     return discrete.DiscreteCurve.from_spec(families.circle(2.0), N)
+
+
+def moved(curve, points):
+    """A new polyline on the grid of curve with the given points."""
+    return discrete.DiscreteCurve(points, curve.n, curve.h, curve.closed)
 
 
 def test_energy_example_critical_pair():
@@ -40,9 +48,10 @@ def test_energy_geodesic_has_no_bending():
 
 def test_degenerate_segment_rejected():
     dc = circle_curve(32)
-    dc.points[:, 7] = dc.points[:, 8]
+    points = dc.points.copy()
+    points[:, 7] = points[:, 8]
     with pytest.raises(discrete.DiscreteCurveError, match="degenerate segment"):
-        discrete.discrete_energy(dc, (1.0, 1.0))
+        moved(dc, points)
 
 
 def test_curve_validation():
@@ -50,9 +59,24 @@ def test_curve_validation():
         discrete.DiscreteCurve(np.zeros((5, 4)), 2, 0.1)
     dc = circle_curve(64)
     assert dc.validate(tol=1e-6) < 1e-10
-    dc.points[4] += 0.3 * np.sin(np.arange(dc.N))  # bend z off the constraint
+    points = dc.points.copy()
+    points[4] += 0.3 * np.sin(np.arange(dc.N))  # bend z off the constraint
     with pytest.raises(discrete.DiscreteCurveError, match="defect"):
-        dc.validate(tol=1e-3)
+        moved(dc, points).validate(tol=1e-3)
+
+
+def test_points_are_a_read_only_copy():
+    raw = circle_curve(32).points.copy()
+    dc = discrete.DiscreteCurve(raw, 2, 0.1)
+    assert raw.flags.writeable  # the caller's array is never frozen
+    with pytest.raises(ValueError, match="read-only"):
+        dc.points[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        dc.u[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dc.points = raw
+    raw[0, 0] += 1.0  # an edit of the caller's array leaves the polyline alone
+    assert dc.points[0, 0] == raw[0, 0] - 1.0
 
 
 def test_discrete_residual_matches_smooth_values():
@@ -67,16 +91,13 @@ def test_discrete_residual_matches_smooth_values():
 def _fd_gradient(curve, delta, step=1e-6):
     """Central differences of the total energy in every free coordinate."""
     grad = np.zeros_like(curve.points)
-    work = curve.copy()
     free = range(curve.N) if curve.closed else range(1, curve.N - 1)
     for k in free:
         for i in range(curve.dim):
-            orig = work.points[i, k]
-            work.points[i, k] = orig + step
-            e_plus = discrete.discrete_energy(work, delta).total
-            work.points[i, k] = orig - step
-            e_minus = discrete.discrete_energy(work, delta).total
-            work.points[i, k] = orig
+            bump = np.zeros_like(curve.points)
+            bump[i, k] = step
+            e_plus = discrete.discrete_energy(moved(curve, curve.points + bump), delta).total
+            e_minus = discrete.discrete_energy(moved(curve, curve.points - bump), delta).total
             grad[i, k] = (e_plus - e_minus) / (2.0 * step)
     return grad
 
@@ -88,7 +109,7 @@ def _perturbed(spec, closed, N, seed):
     else:
         dc = discrete.DiscreteCurve.from_spec(spec, N, span=(0.3, 2.5))
     rng = np.random.default_rng(seed)
-    dc.points += 0.02 * rng.standard_normal(dc.points.shape)
+    dc = moved(dc, dc.points + 0.02 * rng.standard_normal(dc.points.shape))
     assert dc.max_defect() > 1e-3
     return dc
 
@@ -185,7 +206,8 @@ def test_calibrated_sign_rederived_on_circle():
     V = np.zeros((5, N))
     V[0] = -np.sin(2 * ts)
     V[1] = np.cos(2 * ts)
-    slope, pairing = discrete._variation_data(spec, (0.0, 1.0), V, N, 1e-5, -3.0)
+    rep = discrete.first_variation_check(spec, (0.0, 1.0), V, N=N, eps=1e-5, c=-3.0)
+    slope, pairing = rep.slope, rep.pairing
     assert abs(pairing) > 1e-8
     assert (1 if slope * pairing > 0 else -1) == 1
 
@@ -243,7 +265,7 @@ def test_descend_lowers_energy_and_residual():
 def test_descend_geodesic_stays():
     geo = families.geodesic((1.0, 0.0, 0.0, 0.0))
     dg = discrete.DiscreteCurve.from_spec(geo, 32, span=(0.0, 2.0))
-    res = discrete.descend(dg.copy(), (1.0, 1.0), steps=3, rate=0.1)
+    res = discrete.descend(dg, (1.0, 1.0), steps=3, rate=0.1)
     assert np.abs(res.curve.points - dg.points).max() < 1e-8
     spread = max(res.energies) - min(res.energies)
     assert spread < 1e-12
@@ -255,12 +277,12 @@ def test_descend_underflow_diagnostic(monkeypatch):
     geo = families.geodesic((1.0, 0.0, 0.0, 0.0))
     dg = discrete.DiscreteCurve.from_spec(geo, 16, span=(0.0, 2.0))
 
-    def uphill(curve, stencils, delta):
+    def uphill(curve, delta):
         g = np.zeros_like(curve.points)
         g[0, 5] = 100.0
         return g
 
-    monkeypatch.setattr(discrete, "_energy_gradient", uphill)
+    monkeypatch.setattr(discrete, "energy_gradient", uphill)
     res = discrete.descend(dg, (1.0, 0.0), steps=3, rate=0.5)
     assert res.stopped
     assert "underflow" in res.diagnostic
@@ -274,7 +296,7 @@ def test_descend_stops_on_an_uphill_projected_direction():
     # tested against the true slope the loop names the cause
     dc = discrete.DiscreteCurve.from_spec(families.orthogonal_helix(), 32,
                                           span=(0.2, 2.6))
-    dc.points += 1e-3 * np.random.default_rng(11).standard_normal(dc.points.shape)
+    dc = moved(dc, dc.points + 1e-3 * np.random.default_rng(11).standard_normal(dc.points.shape))
     res = discrete.descend(dc, (0.0, 1.0), steps=3, rate=0.01, c=-1.0)
     assert res.stopped
     assert res.diagnostic == "projected direction is not a descent direction at step 2"
@@ -289,27 +311,35 @@ def test_descent_rows_are_csv_ready():
 
 
 def test_descend_builds_each_polyline_once(monkeypatch):
-    # every curve descend makes (its copy and one per line-search trial)
-    # gets its chords built exactly once; rows and gradients reuse them
-    built, chords = [], []
-    post_init, chords_of = discrete.DiscreteCurve.__post_init__, discrete.DiscreteCurve._chords
+    # the constructor builds a polyline's chords; descend uses the start
+    # as given and constructs one polyline per line-search trial, whose
+    # energy, row and next gradient all read that one build
+    built, energies = [], []
+    post_init, energy = discrete.DiscreteCurve.__post_init__, discrete.discrete_energy
 
     def counting_init(self):
         built.append(1)
         post_init(self)
 
-    def counting_chords(self):
-        chords.append(1)
-        return chords_of(self)
+    def counting_energy(curve, delta):
+        energies.append(1)
+        return energy(curve, delta)
 
     base = circle_curve(32)
-    base.points += 0.01 * np.random.default_rng(7).standard_normal(base.points.shape)
+    base = moved(base, base.points + 0.01 * np.random.default_rng(7).standard_normal(base.points.shape))
     monkeypatch.setattr(discrete.DiscreteCurve, "__post_init__", counting_init)
-    monkeypatch.setattr(discrete.DiscreteCurve, "_chords", counting_chords)
+    monkeypatch.setattr(discrete, "discrete_energy", counting_energy)
     res = discrete.descend(base, (1.0, 1.0), steps=4, rate=0.05)
     assert len(res.rows) == 5
-    assert len(built) > 5  # the copy, one trial per step, and backtracks
-    assert len(chords) == len(built)
+    assert len(built) > 4  # one trial per step, and backtracks
+    assert len(energies) == len(built) + 1  # the start's energy and each trial's
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.1, math.inf, -math.inf, math.nan])
+def test_descend_rejects_a_rate_that_is_not_finite_and_positive(rate):
+    # steps=0 would return the start row at once; the rate is checked first
+    with pytest.raises(ValueError, match="rate must be finite and positive"):
+        discrete.descend(circle_curve(24), (1.0, 1.0), steps=0, rate=rate)
 
 
 @pytest.mark.parametrize("delta", [(0.0, 1.0), (-8.0, 2.0)])
@@ -323,7 +353,7 @@ def test_descend_rows_match_fresh_evaluation(spec, closed, delta):
     span = None if closed else (0.2, 2.6)   # the three specs are tagged closed
     dc = discrete.DiscreteCurve.from_spec(spec, 32, span=span)
     assert dc.closed == closed
-    dc.points += 1e-3 * np.random.default_rng(11).standard_normal(dc.points.shape)
+    dc = moved(dc, dc.points + 1e-3 * np.random.default_rng(11).standard_normal(dc.points.shape))
     res = discrete.descend(dc, delta, steps=3, rate=0.01, c=-1.0)
     last = res.rows[-1]
     assert last.step >= 1  # an accepted line-search trial, not the start
