@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import _curve_frames, _nabla_along, frame_scalars, frenet_apparatus
+from .curves import _curve_frames, _nabla_along, frenet_apparatus
 from .model import (eta_frame, metric_frame, phi_frame,
                     space_form_curvature_frame)
 
@@ -58,7 +58,6 @@ __all__ = [
     "CurveClass",
     "DeltaSolution",
     "IndependenceReport",
-    "Case4Report",
     "tension",
     "bitension",
     "residual_direct",
@@ -72,7 +71,6 @@ __all__ = [
     "THRESHOLD_VERDICT",
     "EXCLUDED_VERDICT",
     "independence_check",
-    "case4_ode_residuals",
 ]
 
 CONSTANCY_TOL = 1e-6
@@ -157,7 +155,7 @@ class ResidualReport:
         return [float(np.max(np.abs(row))) for row in self.equation_residuals]
 
 
-def _direct_report(frenet, scalars, c, delta):
+def _direct_report(frenet, c, delta):
     """The direct route on Frenet data the caller already built.
 
     Only the velocity jet frenet.frame_jets[0] and the frames enter the
@@ -177,8 +175,7 @@ def _direct_report(frenet, scalars, c, delta):
 
 def residual_direct(spec, ts, c=-3.0, delta=(0.0, 1.0)):
     """d2 * bitension - d1 * tension by covariant calculus, decomposed."""
-    frenet = frenet_apparatus(spec, ts)
-    return _direct_report(frenet, frame_scalars(frenet), c, delta)
+    return _direct_report(frenet_apparatus(spec, ts), c, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +327,11 @@ def _is_const(arr, tol):
 
 
 def _slant_constants(frenet, scalars, c):
-    """Case-IV (alpha0, w0, w0 variance) for classify and the ODE check.
+    """Case-IV (alpha0, w0, w0 variance) of a curve whose f is constant.
 
     alpha0 is the angle of (<f>, <g(phi T, E4)>); w0 and its variance are
-    the mean and variance of k2^2 + 3((c-1)/4) f^2.  Each caller tests the
-    constancy of f itself.
+    the mean and variance of k2^2 + 3((c-1)/4) f^2.  classify tests the
+    constancy of f before it calls this.
     """
     f = scalars.f
     alpha0 = math.atan2(float(np.mean(scalars.g_phiT_E4)), float(np.mean(f)))
@@ -731,67 +728,4 @@ def independence_check(spec, frenet, tol=1e-8):
         min_gram_eigenvalue=min_eig,
         set_size=size,
         implied_n_bound=bound,
-    )
-
-
-# ---------------------------------------------------------------------------
-# case-IV ODE system
-
-
-@dataclass
-class Case4Report:
-    """Pointwise residuals of the case-IV ODE system and its first integral."""
-
-    k1_prime: np.ndarray
-    sum_rule: np.ndarray
-    k2_ode: np.ndarray
-    k2k3_ode: np.ndarray
-    w0: float
-    w0_variance: float
-    alpha0: float | None
-
-    @property
-    def max_residuals(self):
-        return {
-            "k1_prime": float(np.max(np.abs(self.k1_prime))),
-            "sum_rule": float(np.max(np.abs(self.sum_rule))),
-            "k2_ode": float(np.max(np.abs(self.k2_ode))),
-            "k2k3_ode": float(np.max(np.abs(self.k2k3_ode))),
-        }
-
-
-def case4_ode_residuals(frenet, scalars, c=-3.0, delta=(0.0, 1.0)):
-    """Residuals of the four case-IV equations along the grid.
-
-    The equations: k1 constant; the E2 scalar equation with weights
-    (d1, d2); k2' = -3((c-1)/4) f g(phi T, E3); and
-    k2 k3 = -3((c-1)/4) f g(phi T, E4).  Also fits the first integral
-    k2^2 + 3((c-1)/4) f^2 = w0 and reports the fit variance.
-    """
-    if frenet.r < 4:
-        raise AnalysisError(
-            f"case-IV system needs osculating order >= 4, got r={frenet.r}"
-        )
-    d1, d2 = float(delta[0]), float(delta[1])
-    k1, k1p, k1pp = frenet.curvature_derivs(0, upto=2)
-    k2, k2p = frenet.curvature_derivs(1, upto=1)
-    k3 = frenet.curvatures[2]
-    q = (c - 1.0) / 4.0
-    f = scalars.f
-    sum_rule = (
-        d2 * (k1pp - k1 ** 3 - k1 * k2 ** 2 + (c + 3.0) / 4.0 * k1
-              + 3.0 * q * k1 * f ** 2)
-        - d1 * k1
-    )
-    k2_ode = k2p + 3.0 * q * f * scalars.g_phiT_E3
-    k2k3_ode = k2 * k3 + 3.0 * q * f * scalars.g_phiT_E4
-    alpha0, w0, w0_var = _slant_constants(frenet, scalars, c)
-    return Case4Report(
-        k1_prime=k1p,
-        sum_rule=sum_rule,
-        k2_ode=k2_ode,
-        k2k3_ode=k2k3_ode,
-        w0=w0,
-        w0_variance=w0_var,
-        alpha0=alpha0 if float(np.ptp(f)) <= CONSTANCY_TOL else None,
     )

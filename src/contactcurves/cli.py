@@ -156,7 +156,9 @@ def _validate_common(args):
         raise ConfigError(f"--grid must be >= 16, got {args.grid}")
     if not args.tol > 0.0:
         raise ConfigError(f"--tol must be positive, got {args.tol}")
-    _require_finite(args, "c", "delta1", "delta2", "tol")
+    # verify-example registers no weights
+    _require_finite(args, *(name for name in ("c", "delta1", "delta2", "tol")
+                            if name in vars(args)))
 
 
 def _load_spec(args):
@@ -181,7 +183,7 @@ def cmd_analyze(args):
 
     frenet = frenet_apparatus(spec, ts, tol=args.tol, unit_tol=args.tol)
     scalars = frame_scalars(frenet)
-    res = analysis._direct_report(frenet, scalars, args.c, delta)
+    res = analysis._direct_report(frenet, args.c, delta)
     thm = analysis.theorem31_check(frenet, scalars, args.c, delta, tol=args.tol)
     sol = analysis.solve_delta(frenet, scalars, args.c, tol=args.tol)
     cls = sol.classification
@@ -293,8 +295,8 @@ def cmd_verify_example(args):
     cls = sol.classification
     thm = analysis.theorem31_check(frenet, scalars, args.c, (-8.0, 2.0),
                                    tol=args.tol)
-    res_crit = analysis._direct_report(frenet, scalars, args.c, (-8.0, 2.0))
-    res_biha = analysis._direct_report(frenet, scalars, args.c, (0.0, 1.0))
+    res_crit = analysis._direct_report(frenet, args.c, (-8.0, 2.0))
+    res_biha = analysis._direct_report(frenet, args.c, (0.0, 1.0))
     route_gap = float(np.max(np.abs(thm.report.vector - res_crit.vector)))
 
     k1_err = float(np.max(np.abs(frenet.curvatures[0] - 2.0)))
@@ -434,15 +436,19 @@ def cmd_flow(args):
 
 
 def _add_common(sub, curve=True):
+    """The shared flags; verify-example (curve=False) fixes curve and weights."""
     if curve:
         sub.add_argument("--curve", default=None,
                          help="curve file (default: built-in example)")
     sub.add_argument("--c", type=float, default=-3.0,
-                     help="phi-sectional curvature of the model (default -3)")
-    sub.add_argument("--delta1", type=float, default=0.0,
-                     help="weight on the length term (default 0)")
-    sub.add_argument("--delta2", type=float, default=1.0,
-                     help="weight on the bending term (default 1)")
+                     help="curvature c put into the paper's formulas; the "
+                          "model space itself has c = -3, and flow's energy "
+                          "does not read c (default -3)")
+    if curve:
+        sub.add_argument("--delta1", type=float, default=0.0,
+                         help="weight on the length term (default 0)")
+        sub.add_argument("--delta2", type=float, default=1.0,
+                         help="weight on the bending term (default 1)")
     sub.add_argument("--grid", type=int, default=256,
                      help="number of parameter samples (default 256, min 16)")
     sub.add_argument("--tol", type=float, default=1e-6,

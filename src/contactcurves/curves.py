@@ -53,7 +53,6 @@ __all__ = [
     "velocity",
     "legendre_defect",
     "arclength_check",
-    "covariant_derivative_along",
     "frenet_apparatus",
     "frame_scalars",
     "sample_grid",
@@ -443,81 +442,6 @@ def arclength_check(spec, ts):
 
 
 # ---------------------------------------------------------------------------
-# covariant derivative of a vector field along the curve
-
-
-def covariant_derivative_along(spec, field, ts):
-    """Covariant derivative of a tangent field along the curve.
-
-    field may be a jet-aware callable t -> coordinate components (2n+1,),
-    called once on the parameter jet so the derivative is exact (a callable
-    that returns no Jet raises CurveError); or an ndarray of sampled
-    components with shape (2n+1, len(ts)), differentiated with five-point
-    stencils (one-sided at the ends, accurate to about 1e-7).  Returns
-    coordinate components with shape (2n+1, len(ts)).
-    """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    n = spec.n
-    _, y, T = _curve_frames(spec, ts, order=2)
-    yv = y.value
-    if callable(field):
-        vals = field(jets.variable(ts, 1))
-        if not isinstance(vals, jets.Jet):
-            raise CurveError(
-                f"field callable returned {type(vals).__name__}, not a Jet; "
-                f"pass its sampled components, shape (2n+1, len(ts)), instead"
-            )
-        vf = to_frame(vals, y, n)
-        dT = _nabla_along(n, T.truncate(vf.order), vf)
-        return from_frame(dT.value, yv, n)
-    field = np.asarray(field, dtype=float)
-    if field.shape != (spec.dim, ts.size):
-        raise CurveError(
-            f"sampled field must have shape {(spec.dim, ts.size)}, "
-            f"got {field.shape}"
-        )
-    if ts.size < 5:
-        raise CurveError(
-            f"sampled-field differentiation needs at least 5 samples, "
-            f"got {ts.size}"
-        )
-    steps = np.diff(ts)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-        raise CurveError("sampled-field differentiation needs a uniform grid")
-    coeffs = to_frame(field, yv, n)
-    dcoeffs = _stencil_derivative(coeffs, steps[0])
-    out = dcoeffs + gamma_frame(n, T.value, coeffs)
-    return from_frame(out, yv, n)
-
-
-def _stencil_derivative(rows, h):
-    """Five-point first derivative along the last axis, one-sided at ends."""
-    out = np.empty_like(rows)
-    f = rows
-    out[..., 2:-2] = (
-        f[..., :-4] - 8.0 * f[..., 1:-3] + 8.0 * f[..., 3:-1] - f[..., 4:]
-    ) / (12.0 * h)
-    # forward stencils for the first two samples
-    out[..., 0] = (
-        -25.0 * f[..., 0] + 48.0 * f[..., 1] - 36.0 * f[..., 2]
-        + 16.0 * f[..., 3] - 3.0 * f[..., 4]
-    ) / (12.0 * h)
-    out[..., 1] = (
-        -3.0 * f[..., 0] - 10.0 * f[..., 1] + 18.0 * f[..., 2]
-        - 6.0 * f[..., 3] + f[..., 4]
-    ) / (12.0 * h)
-    out[..., -1] = (
-        25.0 * f[..., -1] - 48.0 * f[..., -2] + 36.0 * f[..., -3]
-        - 16.0 * f[..., -4] + 3.0 * f[..., -5]
-    ) / (12.0 * h)
-    out[..., -2] = (
-        3.0 * f[..., -1] + 10.0 * f[..., -2] - 18.0 * f[..., -3]
-        + 6.0 * f[..., -4] - f[..., -5]
-    ) / (12.0 * h)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Frenet apparatus
 
 
@@ -540,7 +464,7 @@ class FrenetData:
     curvatures: np.ndarray    # (r-1, N)
     y: np.ndarray             # (n, N) the y coordinates, for conversions
     tol: float
-    arclength: ArclengthReport | None = None   # None for synthetic frames
+    arclength: ArclengthReport | None = None   # None unless built by frenet_apparatus
     frame_jets: list = field(default_factory=list, repr=False)
     curvature_jets: list = field(default_factory=list, repr=False)
 
@@ -557,22 +481,15 @@ class FrenetData:
         """k_{i+1} and its first derivatives on the grid, shape (upto+1, N).
 
         Read exactly from the stored jets; a jet of order below upto raises
-        CurveError.  Frame data without curvature jets (synthetic frames)
-        differences the grid values instead.
+        CurveError.
         """
-        if self.curvature_jets:
-            j = self.curvature_jets[i]
-            if j.order < upto:
-                raise CurveError(
-                    f"curvature k_{i + 1} (i={i}) has a jet of order "
-                    f"{j.order}, too short for derivatives up to {upto}"
-                )
-            return np.stack([j.deriv(k) for k in range(upto + 1)])
-        k = self.curvatures[i]
-        rows = [k]
-        for _ in range(upto):
-            rows.append(np.gradient(rows[-1], self.ts, edge_order=2))
-        return np.stack(rows)
+        j = self.curvature_jets[i]
+        if j.order < upto:
+            raise CurveError(
+                f"curvature k_{i + 1} (i={i}) has a jet of order "
+                f"{j.order}, too short for derivatives up to {upto}"
+            )
+        return np.stack([j.deriv(k) for k in range(upto + 1)])
 
 
 # Order of the first Frenet build: the lowest that decides r <= 4 and keeps

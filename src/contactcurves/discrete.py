@@ -156,10 +156,6 @@ class DiscreteCurve:
         pts = coordinate_jets(spec, ts, order=1).coeffs[0]
         return cls(points=pts, n=spec.n, h=h, closed=closed)
 
-    def chord_frames(self):
-        """Frame coefficients u of chord velocities at segment midpoints."""
-        return self.u
-
     def max_defect(self):
         """Largest |eta| of any chord velocity (0 for exactly Legendre data)."""
         return float(np.abs(self.u[2 * self.n]).max())

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from contactcurves import analysis, cli, curves, families, model
+import model_reference as ref
+from contactcurves import analysis, cli, curves, families, jets, model
 
 
 def grid(spec, m=128):
@@ -28,30 +29,31 @@ def frenet_pair(spec, ts, **kw):
     return fr, curves.frame_scalars(fr)
 
 
-def synthetic_frenet(curvature_rows, frame_vectors, n=2, N=48):
-    """FrenetData with prescribed frames and curvatures, no underlying curve.
+def synthetic_frenet(curvature_constants, frame_vectors, n=2, N=48):
+    """FrenetData with prescribed frames and constant curvatures, no curve.
 
     Entries of frame_vectors may be constant (dim,) vectors or full
-    (dim, N) arrays.  Jets are left empty on purpose: the analysis layer
-    must fall back to grid differencing, which is exact for constants.
+    (dim, N) arrays.  Each curvature is a constant, and its jet (order 2,
+    the most the analysis layer reads) has zero derivatives, which is
+    exact; frame jets are left empty.
     """
     ts = np.linspace(0.0, 1.0, N)
     rows = []
     for v in frame_vectors:
         v = np.asarray(v, dtype=float)
         rows.append(np.repeat(v[:, None], N, axis=1) if v.ndim == 1 else v)
-    ks = []
-    for k in curvature_rows:
-        k = np.asarray(k, dtype=float)
-        ks.append(np.full(N, float(k)) if k.ndim == 0 else k)
+    k_jets = [jets.constant(np.full(N, float(k)), order=2)
+              for k in curvature_constants]
     return curves.FrenetData(
         ts=ts,
         n=n,
         r=len(rows),
         frames=np.stack(rows),
-        curvatures=np.stack(ks) if ks else np.zeros((0, N)),
+        curvatures=(np.stack([k.value for k in k_jets]) if k_jets
+                    else np.zeros((0, N))),
         y=np.zeros((n, N)),
         tol=1e-7,
+        curvature_jets=k_jets,
     )
 
 
@@ -220,7 +222,7 @@ def test_direct_report_reuses_caller_frenet_data(spec):
     c, delta = 0.5, (0.7, 1.3)
     fr, sc = frenet_pair(spec, ts, tol=1e-6, unit_tol=1e-5)
     standalone = analysis.residual_direct(spec, ts, c, delta)
-    shared = analysis._direct_report(fr, sc, c, delta)
+    shared = analysis._direct_report(fr, c, delta)
     assert np.array_equal(shared.vector, standalone.vector)
     assert np.array_equal(shared.equation_residuals,
                           standalone.equation_residuals)
@@ -228,7 +230,7 @@ def test_direct_report_reuses_caller_frenet_data(spec):
         fr, curvatures=np.full_like(fr.curvatures, np.nan), curvature_jets=[]
     )
     assert np.array_equal(
-        analysis._direct_report(blind, sc, c, delta).vector, standalone.vector
+        analysis._direct_report(blind, c, delta).vector, standalone.vector
     )
 
 
@@ -643,29 +645,7 @@ def test_independence_requires_low_order():
 
 
 # ---------------------------------------------------------------------------
-# order-4 ODE system
-
-
-def test_case4_ode_round_trip():
-    # constants chosen so every equation closes at c = -3:
-    # k2 k3 = 3 f g4 with f = g4 = cos(pi/4)
-    a0 = np.pi / 4
-    e = np.eye(5)
-    fr = synthetic_frenet(
-        [1.0, 1.5, 1.0],
-        [
-            e[0],
-            np.cos(a0) * e[2] + np.sin(a0) * e[1],
-            e[3],
-            np.sin(a0) * e[2] - np.cos(a0) * e[1],
-        ],
-    )
-    sc = curves.frame_scalars(fr)
-    rho = -3.0 * np.cos(a0) ** 2 - 1.0 - 1.5**2
-    rep = analysis.case4_ode_residuals(fr, sc, delta=(rho, 1.0))
-    for name, value in rep.max_residuals.items():
-        assert value < 1e-9, f"{name} residual {value:.3e}"
-    assert abs(rep.w0 - 0.75) < 1e-12
+# case IV at a constant slant angle
 
 
 def frozen_case4_frame():
@@ -693,9 +673,6 @@ def test_case4_frozen_product():
     k2 = 1.5
     fr = frozen_case4_frame()
     sc = curves.frame_scalars(fr)
-    rep = analysis.case4_ode_residuals(fr, sc, c=7.0)
-    assert rep.max_residuals["k2k3_ode"] < 1e-9
-
     sol = analysis.solve_delta(fr, sc, c=7.0)
     assert sol.classification.case == "IV"
     assert sol.feasible
@@ -709,13 +686,12 @@ def test_case4_frozen_product():
 def test_case4_constants_agree_with_classify():
     fr = frozen_case4_frame()
     sc = curves.frame_scalars(fr)
-    rep = analysis.case4_ode_residuals(fr, sc, c=7.0)
     cls = analysis.classify(fr, sc, c=7.0)
     assert cls.case == "IV"
-    assert rep.alpha0 == cls.alpha0
-    assert rep.w0 == cls.w0
-    assert rep.w0_variance == cls.w0_variance
     assert abs(cls.alpha0 + np.pi / 3) < 1e-12
+    # w0 = k2^2 + 3 (c-1)/4 f^2 with f = cos(alpha0) = 1/2 (hand value)
+    assert abs(cls.w0 - 3.375) < 1e-12
+    assert cls.w0_variance < 1e-20
 
 
 def _scan_row(case, c, k1, k2, alpha0):
@@ -877,42 +853,6 @@ def test_case_formula_rejects_unknown_case():
         analysis.case_formula("V", -3.0, 1.0, 0.0)
 
 
-def test_case4_w0_round_trip():
-    # nonconstant f with k2^2 = w0 + 3 f^2 (the c = -3 first integral):
-    # the fitted w0 must come back with negligible variance
-    w0 = 0.8
-    N = 64
-    s = np.linspace(0.0, 1.0, N)
-    f = 0.3 + 0.2 * np.sin(2 * np.pi * s)
-    k2 = np.sqrt(w0 + 3.0 * f**2)
-    g = np.sqrt(1.0 - f**2)
-    dim5 = 5
-    E1 = np.zeros((dim5, N))
-    E1[0] = 1.0
-    E2 = np.zeros((dim5, N))
-    E2[2] = f
-    E2[1] = g
-    E3 = np.zeros((dim5, N))
-    E3[3] = 1.0
-    E4 = np.zeros((dim5, N))
-    E4[2] = g
-    E4[1] = -f
-    fr = synthetic_frenet(
-        [np.full(N, 1.0), k2, np.full(N, 0.7)], [E1, E2, E3, E4], N=N
-    )
-    sc = curves.frame_scalars(fr)
-    rep = analysis.case4_ode_residuals(fr, sc)
-    assert abs(rep.w0 - w0) < 1e-12
-    assert rep.w0_variance < 1e-20
-
-
-def test_case4_requires_order_four():
-    spec = families.helix(3.0)
-    fr, sc = frenet_pair(spec, grid(spec))
-    with pytest.raises(analysis.AnalysisError):
-        analysis.case4_ode_residuals(fr, sc)
-
-
 # ---------------------------------------------------------------------------
 # structure identities and the sign decision
 
@@ -924,7 +864,7 @@ def test_rotated_tangent_transport_identity(example_curve, example_grid):
     phiT = np.zeros((5, len(ts)))
     phiT[2] = -2.0 * np.cos(2 * ts)
     phiT[3] = -2.0 * np.sin(2 * ts)
-    out = curves.covariant_derivative_along(example_curve, phiT, ts)
+    out = ref.covariant_derivative_along(example_curve, phiT, ts)
     expected = np.zeros_like(out)
     expected[2] = 4.0 * np.sin(2 * ts)
     expected[3] = -4.0 * np.cos(2 * ts)

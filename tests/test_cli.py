@@ -604,6 +604,14 @@ def test_non_finite_flags_exit_2(capsys, command, flag, value, message):
     argv = [command, "--grid", "32", f"--{flag}={value}"]
     if command == "flow":
         argv += ["--steps", "1"]
+    if command == "verify-example" and flag.startswith("delta"):
+        # verify-example checks fixed weights and registers no weight flags
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: --{flag}={value}\n")
+        return
     rc, out, err = run(argv, capsys)
     assert (rc, out, err) == (2, "", f"error: --{flag} {message}\n")
 

@@ -13,7 +13,9 @@ matrix, not a singular value).  The geodesic reports were re-recorded when
 their ``solve.verdict`` became the case table's "geodesic: any delta
 admissible".  The six ``verify-example`` digests were re-recorded when the
 ninth check line dropped "(eq2 sign plus)", a sign choice the program no
-longer offers.
+longer offers.  ``verify-example --delta1=-8 --delta2=2`` printed the default
+bytes, because the command never read its weights; it no longer accepts
+them, and that line became an exit-2 check.
 
 Two digests record the case-I decision that a constant-curvature curve with
 rho = d1/d2 = 0 is excluded: ``analyze`` of the k1 = 1 circle at c = 1 (its
@@ -89,7 +91,7 @@ def _argvs():
     # zero weights: the first step stops with "zero gradient"
     out.append(["flow", "--grid", "32", "--steps", "3", "--delta1=0", "--delta2=0"])
     for extra in (["--grid", "64"], ["--grid", "256"], ["--grid", "4096"],
-                  ["--c=0.5"], ["--delta1=-8", "--delta2=2"], ["--tol=1e-9"]):
+                  ["--c=0.5"], ["--tol=1e-9"]):
         out.append(["verify-example", *extra])
     out += [
         ["scan", "--case", "I", "--k1-range=0.2:2:5", "--k2-range=0:1.5:4"],
@@ -232,8 +234,6 @@ DIGESTS = {
         'a3332041bb0a67fdddf2506c8ad865a188bd0c8e52177a44f4d9e2dc3fff9c63',
     'verify-example --c=0.5':
         '464c93fadf813a14ba0e6536b391b9d10903bf91710ad7d9cdf5abde2bf1532c',
-    'verify-example --delta1=-8 --delta2=2':
-        '5307b1536e4f3bc2f23128129465ad0054fecd65753af57d5522e324664ee329',
     'verify-example --tol=1e-9':
         '5307b1536e4f3bc2f23128129465ad0054fecd65753af57d5522e324664ee329',
     'scan --case I --k1-range=0.2:2:5 --k2-range=0:1.5:4':
@@ -259,6 +259,16 @@ DIGESTS = {
 def test_cli_bytes_unchanged(argv, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert digest(argv) == DIGESTS[" ".join(argv)]
+
+
+def test_verify_example_weight_flags_exit_2(capsys):
+    # verify-example checks the fixed weights (-8, 2) and (0, 1) and has no
+    # weight flags; argparse exits 2 before any output
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-example", "--delta1=-8", "--delta2=2"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --delta1=-8 --delta2=2\n")
 
 
 if __name__ == "__main__":

@@ -7,18 +7,27 @@ derivatives, assembled with the convention
     R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z.
 
 The library's closed-form curvature at c = -3 is required to match this
-oracle directly (no sign flip); that fixes the convention ambiguity.
+oracle directly (no sign flip); that fixes the convention ambiguity.  The
+per-point structure tensors the library's frame algebra is held against
+live in model_reference.
 """
 
 import numpy as np
 import pytest
 
+import model_reference as ref
 from contactcurves import jets, model
-from contactcurves.model import ModelPoint, SpaceFormParams
 
 
 def random_point(rng, n):
-    return ModelPoint(n, rng.uniform(-2.0, 2.0, size=2 * n + 1))
+    return ref.ModelPoint(n, rng.uniform(-2.0, 2.0, size=2 * n + 1))
+
+
+def frame_curvature(c, p, X, Y, Z):
+    """R(X,Y)Z in coordinate components, through the frame-coefficient route."""
+    Xf, Yf, Zf = (ref.to_frame_coeffs(p, v) for v in (X, Y, Z))
+    return ref.from_frame_coeffs(
+        p, model.space_form_curvature_frame(c, Xf, Yf, Zf, p.n))
 
 
 def metric_matrix(n, coords):
@@ -72,12 +81,12 @@ def riemann_operator(n, coords, h=1e-2):
 
 
 def test_eta_examples():
-    p = ModelPoint(2, [0.0, 0.0, 1.0, 0.0, 0.0])  # y1 = 1
-    assert model.eta(p, model.xi(2)) == 1.0
-    X1 = model.frame_field(p, 1)
-    assert model.eta(p, X1) == 0.0
+    p = ref.ModelPoint(2, [0.0, 0.0, 1.0, 0.0, 0.0])  # y1 = 1
+    assert ref.eta(p, ref.xi(2)) == 1.0
+    X1 = ref.frame_field(p, 1)
+    assert ref.eta(p, X1) == 0.0
     u = np.array([2.0, 0.0, 0.0, 0.0, 0.0])  # 2 d/dx1
-    assert model.eta(p, u) == -1.0
+    assert ref.eta(p, u) == -1.0
 
 
 def test_eta_is_metric_against_xi():
@@ -86,7 +95,7 @@ def test_eta_is_metric_against_xi():
         n = int(rng.integers(1, 4))
         p = random_point(rng, n)
         u = rng.normal(size=2 * n + 1)
-        assert abs(model.eta(p, u) - model.metric(p, u, model.xi(n))) < 1e-12
+        assert abs(ref.eta(p, u) - ref.metric(p, u, ref.xi(n))) < 1e-12
 
 
 def test_frame_orthonormal_and_phi_relations():
@@ -94,10 +103,10 @@ def test_frame_orthonormal_and_phi_relations():
     for _ in range(20):
         n = int(rng.integers(1, 4))
         p = random_point(rng, n)
-        F = model.frame_matrix(p)
+        F = ref.frame_matrix(p)
         gram = np.array(
             [
-                [model.metric(p, F[:, i], F[:, j]) for j in range(2 * n + 1)]
+                [ref.metric(p, F[:, i], F[:, j]) for j in range(2 * n + 1)]
                 for i in range(2 * n + 1)
             ]
         )
@@ -105,9 +114,9 @@ def test_frame_orthonormal_and_phi_relations():
         # X_{n+i} = phi X_i and phi(xi) = 0
         for i in range(1, n + 1):
             assert np.allclose(
-                model.phi(p, model.frame_field(p, i)), model.frame_field(p, n + i)
+                ref.phi(p, ref.frame_field(p, i)), ref.frame_field(p, n + i)
             )
-        assert np.allclose(model.phi(p, model.xi(n)), 0.0)
+        assert np.allclose(ref.phi(p, ref.xi(n)), 0.0)
 
 
 def test_phi_square_and_metric_identity():
@@ -117,11 +126,11 @@ def test_phi_square_and_metric_identity():
         p = random_point(rng, n)
         u = rng.normal(size=2 * n + 1)
         v = rng.normal(size=2 * n + 1)
-        lhs = model.phi(p, model.phi(p, u))
-        rhs = -u + model.eta(p, u) * model.xi(n)
+        lhs = ref.phi(p, ref.phi(p, u))
+        rhs = -u + ref.eta(p, u) * ref.xi(n)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
-        gphi = model.metric(p, model.phi(p, u), model.phi(p, v))
-        assert abs(gphi - (model.metric(p, u, v) - model.eta(p, u) * model.eta(p, v))) < 1e-12
+        gphi = ref.metric(p, ref.phi(p, u), ref.phi(p, v))
+        assert abs(gphi - (ref.metric(p, u, v) - ref.eta(p, u) * ref.eta(p, v))) < 1e-12
 
 
 def test_frame_coefficient_round_trip():
@@ -130,22 +139,22 @@ def test_frame_coefficient_round_trip():
         n = int(rng.integers(1, 4))
         p = random_point(rng, n)
         u = rng.normal(size=2 * n + 1)
-        coeffs = model.to_frame_coeffs(p, u)
-        assert np.allclose(model.from_frame_coeffs(p, coeffs), u, atol=1e-12)
+        coeffs = ref.to_frame_coeffs(p, u)
+        assert np.allclose(ref.from_frame_coeffs(p, coeffs), u, atol=1e-12)
         # coefficients really are the metric pairings with the frame
-        F = model.frame_matrix(p)
-        pairings = np.array([model.metric(p, u, F[:, i]) for i in range(2 * n + 1)])
+        F = ref.frame_matrix(p)
+        pairings = np.array([ref.metric(p, u, F[:, i]) for i in range(2 * n + 1)])
         assert np.allclose(coeffs, pairings, atol=1e-12)
 
 
 def test_connection_table_entries():
     n = 2
     assert np.allclose(
-        model.connection_frame_coeffs(n, 1, 1 + n), [0, 0, 0, 0, 1.0]
+        ref.connection_frame_coeffs(n, 1, 1 + n), [0, 0, 0, 0, 1.0]
     )  # delta_11 xi
-    assert np.allclose(model.connection_frame_coeffs(n, 1, 2), 0.0)
+    assert np.allclose(ref.connection_frame_coeffs(n, 1, 2), 0.0)
     # nabla_{X_{1+n}} xi = X_1
-    got = model.connection_frame_coeffs(n, 1 + n, 2 * n + 1)
+    got = ref.connection_frame_coeffs(n, 1 + n, 2 * n + 1)
     expect = np.zeros(2 * n + 1)
     expect[0] = 1.0
     assert np.allclose(got, expect)
@@ -153,8 +162,8 @@ def test_connection_table_entries():
     rng = np.random.default_rng(3)
     p = random_point(rng, n)
     for i in range(1, 2 * n + 1):
-        table = model.connection_frame_coeffs(n, i, 2 * n + 1)
-        expected = model.to_frame_coeffs(p, -model.phi(p, model.frame_field(p, i)))
+        table = ref.connection_frame_coeffs(n, i, 2 * n + 1)
+        expected = ref.to_frame_coeffs(p, -ref.phi(p, ref.frame_field(p, i)))
         assert np.allclose(table, expected, atol=1e-12)
 
 
@@ -167,7 +176,7 @@ def test_gamma_frame_matches_table_contraction():
         brute = np.zeros(dim)
         for i in range(1, dim + 1):
             for j in range(1, dim + 1):
-                brute += a[i - 1] * b[j - 1] * model.connection_frame_coeffs(n, i, j)
+                brute += a[i - 1] * b[j - 1] * ref.connection_frame_coeffs(n, i, j)
         assert np.allclose(model.gamma_frame(n, a, b), brute, atol=1e-12)
 
 
@@ -219,10 +228,10 @@ def test_vectorized_frame_change_matches_pointwise():
         coeffs = model.to_frame(u, y, n)
         back = model.from_frame(coeffs, y, n)
         for k in range(6):
-            p = ModelPoint(n, pts[:, k])
-            assert np.allclose(coeffs[:, k], model.to_frame_coeffs(p, u[:, k]),
+            p = ref.ModelPoint(n, pts[:, k])
+            assert np.allclose(coeffs[:, k], ref.to_frame_coeffs(p, u[:, k]),
                                rtol=0, atol=1e-14)
-            assert np.allclose(back[:, k], model.from_frame_coeffs(p, coeffs[:, k]),
+            assert np.allclose(back[:, k], ref.from_frame_coeffs(p, coeffs[:, k]),
                                rtol=0, atol=1e-13)
 
 
@@ -267,64 +276,43 @@ def test_metric_compatibility_of_table():
                     ej[j - 1] = 1.0
                     ek = np.zeros(dim)
                     ek[k - 1] = 1.0
-                    s = model.connection_frame_coeffs(n, i, j) @ ek
-                    s += model.connection_frame_coeffs(n, i, k) @ ej
+                    s = ref.connection_frame_coeffs(n, i, j) @ ek
+                    s += ref.connection_frame_coeffs(n, i, k) @ ej
                     assert abs(s) < 1e-15
 
 
 def test_curvature_constant_curvature_limit():
-    # c=1: only the (c+3)/4 block survives with eta = 0 pairings
-    pair = dict(
-        g_YZ=1.0, g_XZ=0.0, g_X_phiZ=0.0, g_Y_phiZ=0.0, g_X_phiY=0.0,
-        eta_X=0.0, eta_Y=0.0, eta_Z=0.0,
-    )
-    w = model.space_form_curvature_abstract(1.0, pair)
-    assert w["X"] == 1.0
-    assert all(w[k] == 0.0 for k in ("Y", "phiX", "phiY", "phiZ", "xi"))
-
-
-def test_curvature_abstract_missing_pairing():
-    with pytest.raises(ValueError, match="missing"):
-        model.space_form_curvature_abstract(1.0, {"g_YZ": 1.0})
-
-
-def test_curvature_frame_agrees_with_concrete():
-    rng = np.random.default_rng(31)
-    params = SpaceFormParams(-3.0)
+    # c=1: only the (c+3)/4 block survives, R(X,Y)Z = g(Y,Z) X - g(X,Z) Y
+    n = 2
+    e = np.eye(2 * n + 1)
+    assert np.array_equal(model.space_form_curvature_frame(1.0, e[0], e[1], e[1], n),
+                          e[0])
+    rng = np.random.default_rng(19)
     for _ in range(20):
-        n = int(rng.integers(1, 4))
-        p = random_point(rng, n)
         X, Y, Z = rng.normal(size=(3, 2 * n + 1))
-        concrete = model.space_form_curvature(params, p, X, Y, Z)
-        ff = model.space_form_curvature_frame(
-            -3.0,
-            model.to_frame_coeffs(p, X),
-            model.to_frame_coeffs(p, Y),
-            model.to_frame_coeffs(p, Z),
-            n,
-        )
-        assert np.allclose(model.from_frame_coeffs(p, ff), concrete, atol=1e-10)
+        sphere = model.metric_frame(Y, Z) * X - model.metric_frame(X, Z) * Y
+        got = model.space_form_curvature_frame(1.0, X, Y, Z, n)
+        assert np.max(np.abs(got - sphere)) < 1e-12
 
 
 def test_curvature_against_fd_riemann_oracle():
     # binding sign-convention check at 20 random points, relative error < 1e-6
     rng = np.random.default_rng(42)
-    params = SpaceFormParams(-3.0)
     n = 2
     for _ in range(20):
         p = random_point(rng, n)
         R4 = riemann_operator(n, p.coords)
         X, Y, Z = rng.normal(size=(3, 2 * n + 1))
         oracle = np.einsum("lijk,i,j,k->l", R4, X, Y, Z)
-        closed = model.space_form_curvature(params, p, X, Y, Z)
+        closed = frame_curvature(-3.0, p, X, Y, Z)
         scale = max(1.0, np.max(np.abs(oracle)))
         assert np.max(np.abs(closed - oracle)) < 1e-6 * scale
 
 
 def test_curvature_vanishing_fixture():
     # c=-3 with T, E2 horizontal and g(phi T, E2) = 0: every term drops
-    p = ModelPoint(2, np.zeros(5))
-    T = model.frame_field(p, 3)  # X_3 = 2 d/dx1 at y=0
-    E2 = model.frame_field(p, 4)
-    out = model.space_form_curvature(SpaceFormParams(-3.0), p, T, E2, T)
+    p = ref.ModelPoint(2, np.zeros(5))
+    T = ref.frame_field(p, 3)  # X_3 = 2 d/dx1 at y=0
+    E2 = ref.frame_field(p, 4)
+    out = frame_curvature(-3.0, p, T, E2, T)
     assert np.allclose(out, 0.0, atol=1e-14)
