@@ -156,7 +156,7 @@ def _validate_common(args):
         raise ConfigError(f"--grid must be >= 16, got {args.grid}")
     if not args.tol > 0.0:
         raise ConfigError(f"--tol must be positive, got {args.tol}")
-    # verify-example registers no weights
+    # verify-example registers no c and no weights
     _require_finite(args, *(name for name in ("c", "delta1", "delta2", "tol")
                             if name in vars(args)))
 
@@ -288,15 +288,16 @@ def cmd_verify_example(args):
     _validate_common(args)
     spec = example_spec()
     ts = sample_grid(spec, args.grid)
+    c = -3.0    # the model space's own c: the expected values hold only there
 
     frenet = frenet_apparatus(spec, ts, tol=args.tol)
     scalars = frame_scalars(frenet)
-    sol = analysis.solve_delta(frenet, scalars, args.c, tol=args.tol)
+    sol = analysis.solve_delta(frenet, scalars, c, tol=args.tol)
     cls = sol.classification
-    thm = analysis.theorem31_check(frenet, scalars, args.c, (-8.0, 2.0),
+    thm = analysis.theorem31_check(frenet, scalars, c, (-8.0, 2.0),
                                    tol=args.tol)
-    res_crit = analysis._direct_report(frenet, args.c, (-8.0, 2.0))
-    res_biha = analysis._direct_report(frenet, args.c, (0.0, 1.0))
+    res_crit = analysis._direct_report(frenet, c, (-8.0, 2.0))
+    res_biha = analysis._direct_report(frenet, c, (0.0, 1.0))
     route_gap = float(np.max(np.abs(thm.report.vector - res_crit.vector)))
 
     k1_err = float(np.max(np.abs(frenet.curvatures[0] - 2.0)))
@@ -436,15 +437,14 @@ def cmd_flow(args):
 
 
 def _add_common(sub, curve=True):
-    """The shared flags; verify-example (curve=False) fixes curve and weights."""
+    """The shared flags; verify-example (curve=False) fixes curve, c and weights."""
     if curve:
         sub.add_argument("--curve", default=None,
                          help="curve file (default: built-in example)")
-    sub.add_argument("--c", type=float, default=-3.0,
-                     help="curvature c put into the paper's formulas; the "
-                          "model space itself has c = -3, and flow's energy "
-                          "does not read c (default -3)")
-    if curve:
+        sub.add_argument("--c", type=float, default=-3.0,
+                         help="curvature c put into the paper's formulas; the "
+                              "model space itself has c = -3, and flow's energy "
+                              "does not read c (default -3)")
         sub.add_argument("--delta1", type=float, default=0.0,
                          help="weight on the length term (default 0)")
         sub.add_argument("--delta2", type=float, default=1.0,

@@ -4,16 +4,16 @@ A curve is a tuple of coordinate sources, one per ambient coordinate
 (x_1..x_n, y_1..y_n, z).  A source is either a parsed expression of t or, for
 the z slot of curves built by :func:`make_legendre`, an integral whose value
 is obtained by adaptive quadrature and whose derivatives come straight from
-the integrand.  Everything downstream (velocity, covariant derivatives,
-Frenet frames, curvature functions) is computed on truncated Taylor jets, so
-derivatives are exact up to the jet order; no finite differencing happens
-inside this module.
+the integrand.  Everything is a truncated Taylor jet pass: positions and
+the z integrand are value slots, and velocity, covariant derivatives,
+Frenet frames and curvature functions read higher slots, so derivatives
+are exact up to the jet order; no finite differencing happens here.
 
 The model's frame depends on the y coordinates only, so the analysis path
 (speed and Legendre defect, covariant derivatives, Frenet frames) reads the
 velocity jet and the y jet and never a z value.  The z integral is
-therefore evaluated only where positions are read: :meth:`CurveSpec.point`
-and :func:`coordinate_jets`.
+therefore evaluated only where positions are read: :func:`coordinate_jets`
+and so :meth:`CurveSpec.point`.
 
 One jet pass over a curve evaluates each distinct function call once: all
 coordinates are evaluated in one sharing scope (see
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import jets
 from .expressions import Expr, parse
-from .model import eta_frame, from_frame, gamma_frame, metric_frame, phi_frame, to_frame
+from .model import eta_frame, gamma_frame, metric_frame, phi_frame, to_frame
 
 __all__ = [
     "CurveError",
@@ -156,21 +156,13 @@ class IntegralCoordinate:
         self.x_exprs = tuple(x_exprs)
         self.y_exprs = tuple(y_exprs)
 
-    def _integrand_values(self, s):
-        s = np.asarray(s, dtype=float)
-        total = np.zeros_like(s)
-        for xe, ye in zip(self.x_exprs, self.y_exprs):
-            xj = xe(jets.variable(s, 1))
-            total += ye(s) * xj.deriv(1)
-        return total
-
     def values(self, ts):
         """Cumulative integral at each of ts (not assumed sorted).
 
         Integrates over the consecutive gaps of the sorted parameters with
         0 spliced in as the reference point, then shifts the running sum so
         that the entry at 0 equals z0.  One batched pass evaluates the 10-
-        and 20-point Gauss rules of every gap in a single integrand call;
+        and 20-point Gauss rules of every gap in a single integrand jet;
         only the gaps where the two rules disagree are bisected, one by one.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -180,7 +172,8 @@ class IntegralCoordinate:
         increments = np.zeros(anchors.size)
         gaps = np.flatnonzero(anchors[1:] != anchors[:-1]) + 1
         increments[gaps] = _composite_quad(
-            self._integrand_values, anchors[gaps - 1], anchors[gaps]
+            lambda s: self._integrand_jet(jets.variable(s, 1), {}).value,
+            anchors[gaps - 1], anchors[gaps],
         )
         cumulative = np.cumsum(increments)
         base = cumulative[np.searchsorted(anchors, 0.0)]
@@ -220,7 +213,8 @@ class IntegralCoordinate:
             total = term if total is None else total + term
         return total
 
-    def describe(self):
+    @property
+    def text(self):
         xs = ", ".join(e.text for e in self.x_exprs)
         ys = ", ".join(e.text for e in self.y_exprs)
         return f"{self.z0!r} + integral of sum(y*x') for x=({xs}), y=({ys})"
@@ -270,27 +264,13 @@ class CurveSpec:
 
     @property
     def coord_texts(self):
-        out = []
-        for c in self.coords:
-            if isinstance(c, Expr):
-                out.append(c.text)
-            else:
-                out.append(c.describe())
-        return tuple(out)
+        return tuple(c.text for c in self.coords)
 
     def point(self, t):
-        """Coordinates at parameter t, shape (2n+1,) or (2n+1, N)."""
+        """Coordinates at t, shape (2n+1,) or (2n+1, N): an order-0 jet pass."""
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        ts = np.atleast_1d(t)
-        rows = []
-        for c in self.coords:
-            if isinstance(c, IntegralCoordinate):
-                rows.append(c.values(ts))
-            else:
-                rows.append(np.broadcast_to(np.asarray(c(ts), dtype=float), ts.shape))
-        pts = np.stack(rows)
-        return pts[:, 0] if scalar else pts
+        pts = coordinate_jets(self, t, order=0).value
+        return pts[:, 0] if t.ndim == 0 else pts
 
     def __repr__(self):
         return f"CurveSpec(n={self.n}, coords={self.coord_texts!r})"
@@ -347,12 +327,11 @@ def _velocity_jets(spec, ts, order):
     return jets.Jet(np.stack(tails, axis=1) * k), jets.stack(ys, axis=0)
 
 
-def velocity(spec, t, order=1):
+def velocity(spec, t):
     """Coordinate components of the velocity, shape like spec.point(t)."""
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    v = _velocity_jets(spec, t, max(1, order))[0].value
-    return v[:, 0] if scalar else v
+    v = _velocity_jets(spec, t, 1)[0].value
+    return v[:, 0] if t.ndim == 0 else v
 
 
 def _nabla_along(n, t_frame, v_frame):
@@ -380,14 +359,15 @@ def make_legendre(x_exprs, y_exprs, z0=0.0, period=2.0 * np.pi, closed=True):
     """Build a Legendre curve from horizontal profile expressions.
 
     The z coordinate is synthesized so that the contact form vanishes on the
-    velocity: z' = sum_i y_i x_i'.  Values of z are obtained by Gauss-Legendre
-    quadrature from z(0) = z0: one batched 10/20-point pass over all grid
-    gaps, then adaptive bisection of only the gaps where the two rules
-    disagree.  The quadrature runs only where positions are read
-    (CurveSpec.point, coordinate_jets, and so DiscreteCurve.from_spec); the
-    Frenet and residual analysis needs no z value.  All derivative slots of
-    the z jet come from the integrand itself, so the Legendre defect of the
-    result is limited only by roundoff.
+    velocity: z' = sum_i y_i x_i'.  One jet of that integrand gives both the
+    quadrature's values (its value slot) and the derivative slots of the z
+    jet, so the Legendre defect of the result is limited only by roundoff.
+    Values of z are obtained by Gauss-Legendre quadrature from z(0) = z0:
+    one batched 10/20-point pass over all grid gaps, then adaptive bisection
+    of only the gaps where the two rules disagree.  The quadrature runs only
+    where positions are read (coordinate_jets, and so CurveSpec.point and
+    DiscreteCurve.from_spec); the Frenet and residual analysis needs no z
+    value.
     """
     xs = [parse(e) if isinstance(e, str) else e for e in x_exprs]
     ys = [parse(e) if isinstance(e, str) else e for e in y_exprs]
@@ -463,7 +443,6 @@ class FrenetData:
     frames: np.ndarray        # (r, 2n+1, N)
     curvatures: np.ndarray    # (r-1, N)
     y: np.ndarray             # (n, N) the y coordinates, for conversions
-    tol: float
     arclength: ArclengthReport | None = None   # None unless built by frenet_apparatus
     frame_jets: list = field(default_factory=list, repr=False)
     curvature_jets: list = field(default_factory=list, repr=False)
@@ -588,7 +567,6 @@ def frenet_apparatus(spec, ts, tol=1e-7, unit_tol=1e-6):
         frames=frames,
         curvatures=curvatures,
         y=y.value,
-        tol=tol,
         arclength=arclength,
         frame_jets=frame_list,
         curvature_jets=curv_jets,
@@ -611,7 +589,6 @@ class FrameScalars:
     eta_E4: np.ndarray
     phiT: np.ndarray           # frame coefficients, (2n+1, N)
     offspan: np.ndarray        # |phi T - projection onto E_2..E_m|
-    f_jet: object = None       # jet of f when the frame data carries jets
 
 
 def frame_scalars(frenet):
@@ -637,11 +614,6 @@ def frame_scalars(frenet):
     rest = phiT - proj
     offspan = np.sqrt(metric_frame(rest, rest))
 
-    f_jet = None
-    if frenet.frame_jets and frenet.r >= 2:
-        f_jet = metric_frame(phi_frame(frenet.frame_jets[0], n),
-                             frenet.frame_jets[1])
-
     return FrameScalars(
         f=f,
         g_phiT_E3=pair(3),
@@ -651,5 +623,4 @@ def frame_scalars(frenet):
         eta_E4=eta_of(4),
         phiT=phiT,
         offspan=offspan,
-        f_jet=f_jet,
     )

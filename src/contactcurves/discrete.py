@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis
-from .curves import CurveSpec, sample_grid, coordinate_jets
+from .curves import CurveSpec, sample_grid
 from .model import gamma_frame, space_form_curvature_frame, to_frame
 
 __all__ = [
@@ -153,8 +153,7 @@ class DiscreteCurve:
             ts = np.linspace(a, b, N)
             h = (b - a) / (N - 1)
             closed = False
-        pts = coordinate_jets(spec, ts, order=1).coeffs[0]
-        return cls(points=pts, n=spec.n, h=h, closed=closed)
+        return cls(points=spec.point(ts), n=spec.n, h=h, closed=closed)
 
     def max_defect(self):
         """Largest |eta| of any chord velocity (0 for exactly Legendre data)."""

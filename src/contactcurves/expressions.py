@@ -2,8 +2,8 @@
 
 The grammar (also documented in the README) covers numeric literals, the
 parameter ``t``, the constant ``pi``, the binary operators ``+ - * /``,
-integer powers with ``^``, the functions ``sin``, ``cos``, ``exp``, and
-parentheses::
+integer powers with ``^``, the functions ``sin``, ``cos``, ``exp``, ``log``,
+``atan``, and parentheses::
 
     expr   = term { ("+" | "-") term }
     term   = unary { ("*" | "/") unary }
@@ -11,9 +11,10 @@ parentheses::
     power  = atom [ "^" unary ]          (exponent: constant integer)
     atom   = NUMBER | "t" | "pi" | NAME "(" expr ")" | "(" expr ")"
 
-Evaluation is generic over the argument type: pass a float or ndarray to get
-plain values, or a :class:`~contactcurves.jets.Jet` to get exact derivatives
-propagated through the whole tree.
+Every evaluation is a truncated Taylor (jet) pass, and a plain value is the
+value slot of an order-0 jet, so values, derivatives and domain errors come
+from one evaluator.  A zero divisor, a log of a non-positive number or a
+negative power of zero raises :class:`EvaluationError`, in t or a constant.
 
 :meth:`Expr.evaluate` takes a sharing scope: a dict, owned by the caller,
 that holds every function call and every whole expression evaluated on one
@@ -146,7 +147,9 @@ class _Parser:
             v = _const_value(node)
         except _NotConstant:
             raise ExpressionError("exponent must be a constant integer", pos) from None
-        if v != int(v):
+        except ZeroDivisionError:
+            raise ExpressionError("exponent divides by zero", pos) from None
+        if not np.isfinite(v) or v != int(v):
             raise ExpressionError(f"exponent must be an integer, got {v}", pos)
         return int(v)
 
@@ -197,21 +200,6 @@ def _const_value(node):
     raise _NotConstant
 
 
-def _first_bad_t(t, mask):
-    if isinstance(t, jets.Jet):
-        t = t.value
-    t = np.asarray(t)
-    if t.shape == ():
-        return float(t)
-    if t.shape == np.shape(mask):
-        return float(np.asarray(t)[mask][0])
-    return None
-
-
-def _order(t):
-    return t.order if isinstance(t, jets.Jet) else None
-
-
 def _eval(node, t, shared):
     tag = node[0]
     if tag == "num":
@@ -230,17 +218,20 @@ def _eval(node, t, shared):
             return a - b
         if op == "*":
             return a * b
-        bval = b.value if isinstance(b, jets.Jet) else np.asarray(b)
-        zero = bval == 0.0
+        zero = (b.value if isinstance(b, jets.Jet) else b) == 0.0
         if np.any(zero):
-            where = _first_bad_t(t, zero)
-            suffix = "" if where is None else f" at t={where}"
-            raise EvaluationError("division by zero" + suffix)
+            # a constant divisor has no parameter value to name
+            where = (f" at t={float(np.asarray(t.value)[zero][0])}"
+                     if np.shape(zero) == t.shape else "")
+            raise EvaluationError("division by zero" + where)
         return a / b
     if tag == "pow":
         base = _eval(node[1], t, shared)
         if isinstance(base, jets.Jet):
             return base**node[2]
+        if base == 0.0 and node[2] < 0:
+            # the error a jet base gives, from the division in Jet.__pow__
+            raise jets.JetDomainError("division by zero in jet arithmetic")
         return np.asarray(base, dtype=float) ** node[2]
     if tag == "call":
         return _call(node, t, shared)
@@ -250,25 +241,22 @@ def _eval(node, t, shared):
 def _call(node, t, shared):
     """A function call, computed once per scope.
 
-    The key is the call's AST and the jet order.  Parser literals are
-    unsigned (a minus sign is a "neg" node), so ASTs that compare equal
-    evaluate identically; 0.0 == -0.0 never merges two different calls.
+    The key is the call's AST.  Parser literals are unsigned (a minus sign
+    is a "neg" node), so ASTs that compare equal evaluate identically;
+    0.0 == -0.0 never merges two different calls.
     """
     _, name, arg = node
-    key = (node, _order(t))
-    if key not in shared:
+    if node not in shared:
         x = _eval(arg, t, shared)
         if name in ("sin", "cos") and isinstance(x, jets.Jet):
-            s, c = jets._sin_cos(x)
-            shared[(("call", "sin", arg), key[1])] = s
-            shared[(("call", "cos", arg), key[1])] = c
+            shared[("call", "sin", arg)], shared[("call", "cos", arg)] = jets._sin_cos(x)
         else:
-            shared[key] = _FUNCTIONS[name](x)
-    return shared[key]
+            shared[node] = _FUNCTIONS[name](x)
+    return shared[node]
 
 
 class Expr:
-    """A parsed expression; call it with a float, ndarray, or Jet."""
+    """A parsed expression; a float, ndarray or Jet argument gives the same kind."""
 
     __slots__ = ("text", "ast")
 
@@ -277,31 +265,29 @@ class Expr:
         self.ast = _Parser(text).parse()
 
     def __call__(self, t):
-        return self.evaluate(t, {})
+        if isinstance(t, jets.Jet):
+            return self.evaluate(t, {})
+        t = np.asarray(t, dtype=float)
+        value = self.evaluate(jets.variable(t, 0), {}).value
+        return float(value) if t.ndim == 0 else value
 
     def evaluate(self, t, shared):
-        """Value of the expression at t, computed in the sharing scope shared.
+        """Jet of the expression over the variable jet t, in the sharing scope shared.
 
         shared holds the results of one pass over the single variable t
         and must not outlive it.  A whole expression is keyed apart from
         its calls, since a constant call's value is a float while the
-        expression's value follows the shape of t.
+        expression's jet follows the shape of t.
         """
-        key = ("expr", self.ast, _order(t))
+        key = ("expr", self.ast)
         if key in shared:
             return shared[key]
         try:
             out = _eval(self.ast, t, shared)
         except jets.JetDomainError as err:
             raise EvaluationError(f"{err} while evaluating {self.text!r}") from err
-        # constant expressions should still follow the argument's shape
-        if isinstance(t, jets.Jet):
-            if not isinstance(out, jets.Jet):
-                out = jets.constant(np.broadcast_to(out, t.shape), t.order)
-        elif np.shape(t) == ():
-            out = float(out)
-        else:
-            out = np.broadcast_to(np.asarray(out, dtype=float), np.shape(t)).copy()
+        if not isinstance(out, jets.Jet):
+            out = jets.constant(np.broadcast_to(out, t.shape), t.order)
         shared[key] = out
         return out
 

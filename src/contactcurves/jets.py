@@ -283,11 +283,11 @@ def exp(x):
 
 
 def log(x):
-    if not isinstance(x, Jet):
-        return np.log(x)
-    u0 = x.coeffs[0]
+    u0 = x.coeffs[0] if isinstance(x, Jet) else x
     if np.any(u0 <= 0.0):
         raise JetDomainError("log of a non-positive jet value")
+    if not isinstance(x, Jet):
+        return np.log(x)
     K = x.order
     v = np.zeros_like(x.coeffs)
     v[0] = np.log(u0)

@@ -161,7 +161,9 @@ def test_criterion_5_legendre_frame_identities():
         worst_pair = max(
             worst_pair, float(np.max(np.abs(k2 * sc.eta_E3 - sc.f)))
         )
-        fprime = sc.f_jet.deriv(1)
+        f_jet = model.metric_frame(model.phi_frame(fr.frame_jets[0], spec.n),
+                                   fr.frame_jets[1])
+        fprime = f_jet.deriv(1)
         worst_fprime = max(
             worst_fprime,
             float(np.max(np.abs(fprime - k2 * sc.g_phiT_E3))),

@@ -52,7 +52,6 @@ def synthetic_frenet(curvature_constants, frame_vectors, n=2, N=48):
         curvatures=(np.stack([k.value for k in k_jets]) if k_jets
                     else np.zeros((0, N))),
         y=np.zeros((n, N)),
-        tol=1e-7,
         curvature_jets=k_jets,
     )
 

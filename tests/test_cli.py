@@ -301,6 +301,23 @@ def test_expression_domain_error_exits_2(capsys, command):
                    "'log(t-10)'\n")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["analyze"], ["flow", "--steps", "1"]])
+@pytest.mark.parametrize("coords, message", [
+    ("sin(t)\ncos(t)+log(0-1)*0\n0",
+     "log of a non-positive jet value while evaluating 'cos(t)+log(0-1)*0'"),
+    ("sin(t)\ncos(t)\n0^(0-1)*0",
+     "division by zero in jet arithmetic while evaluating '0^(0-1)*0'"),
+])
+def test_constant_domain_error_exits_2(tmp_path, capsys, command, coords, message):
+    # a constant subexpression outside its domain names itself, as a
+    # t-dependent one does, instead of turning into a nan in the report
+    path = tmp_path / "constant_domain.txt"
+    path.write_text(f"n=1\n{coords}\n")
+    rc, out, err = run([*command, "--curve", str(path)], capsys)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_analyze_loose_tol_accepts_near_unit_speed(tmp_path, capsys):
     # speed deviates by 1e-5, inside --tol 1e-4; every stage must use that
     # tolerance, not a fixed default of its own
@@ -604,8 +621,9 @@ def test_non_finite_flags_exit_2(capsys, command, flag, value, message):
     argv = [command, "--grid", "32", f"--{flag}={value}"]
     if command == "flow":
         argv += ["--steps", "1"]
-    if command == "verify-example" and flag.startswith("delta"):
-        # verify-example checks fixed weights and registers no weight flags
+    if command == "verify-example" and flag in ("c", "delta1", "delta2"):
+        # verify-example checks the built-in curve at c = -3 and fixed
+        # weights, and registers no c or weight flags
         with pytest.raises(SystemExit) as exc:
             main(argv)
         out, err = capsys.readouterr()

@@ -15,7 +15,10 @@ admissible".  The six ``verify-example`` digests were re-recorded when the
 ninth check line dropped "(eq2 sign plus)", a sign choice the program no
 longer offers.  ``verify-example --delta1=-8 --delta2=2`` printed the default
 bytes, because the command never read its weights; it no longer accepts
-them, and that line became an exit-2 check.
+them, and that line became an exit-2 check.  ``verify-example --c=0.5``
+printed four FAIL lines and exited 1 on a correct program, because the
+self-check's expected values hold only at c = -3; the command no longer
+accepts ``--c``, and that line became an exit-2 check too.
 
 Two digests record the case-I decision that a constant-curvature curve with
 rho = d1/d2 = 0 is excluded: ``analyze`` of the k1 = 1 circle at c = 1 (its
@@ -91,7 +94,7 @@ def _argvs():
     # zero weights: the first step stops with "zero gradient"
     out.append(["flow", "--grid", "32", "--steps", "3", "--delta1=0", "--delta2=0"])
     for extra in (["--grid", "64"], ["--grid", "256"], ["--grid", "4096"],
-                  ["--c=0.5"], ["--tol=1e-9"]):
+                  ["--tol=1e-9"]):
         out.append(["verify-example", *extra])
     out += [
         ["scan", "--case", "I", "--k1-range=0.2:2:5", "--k2-range=0:1.5:4"],
@@ -232,8 +235,6 @@ DIGESTS = {
         '5307b1536e4f3bc2f23128129465ad0054fecd65753af57d5522e324664ee329',
     'verify-example --grid 4096':
         'a3332041bb0a67fdddf2506c8ad865a188bd0c8e52177a44f4d9e2dc3fff9c63',
-    'verify-example --c=0.5':
-        '464c93fadf813a14ba0e6536b391b9d10903bf91710ad7d9cdf5abde2bf1532c',
     'verify-example --tol=1e-9':
         '5307b1536e4f3bc2f23128129465ad0054fecd65753af57d5522e324664ee329',
     'scan --case I --k1-range=0.2:2:5 --k2-range=0:1.5:4':
@@ -269,6 +270,16 @@ def test_verify_example_weight_flags_exit_2(capsys):
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
     assert err.endswith("error: unrecognized arguments: --delta1=-8 --delta2=2\n")
+
+
+def test_verify_example_c_flag_exit_2(capsys):
+    # the self-check's expected values hold only at the model's c = -3, so
+    # the command has no --c; argparse exits 2 before any output
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-example", "--c=0.5"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --c=0.5\n")
 
 
 if __name__ == "__main__":

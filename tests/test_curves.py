@@ -303,8 +303,8 @@ def test_frame_scalars_example(example_curve, example_grid):
     assert np.max(np.abs(sc.offspan - 1.0)) < 1e-9
     bound = sc.f ** 2 + sc.g_phiT_E3 ** 2 + sc.g_phiT_E4 ** 2
     assert np.max(bound) <= 1.0 + 1e-8
-    assert sc.f_jet is not None
-    assert np.max(np.abs(sc.f_jet.deriv(1))) < 1e-8
+    f_jet = metric_frame(phi_frame(fr.frame_jets[0], 2), fr.frame_jets[1])
+    assert np.max(np.abs(f_jet.deriv(1))) < 1e-8
 
 
 def test_integral_coordinate_negative_and_repeat_times():
@@ -320,7 +320,8 @@ def _per_gap_z(coord, ts):
     ts = np.asarray(ts, dtype=float)
     anchors = np.unique(np.concatenate(([0.0], ts)))
     running = np.concatenate(([0.0], np.cumsum([
-        _adaptive_quad(coord._integrand_values, a, b)
+        _adaptive_quad(lambda s: coord._integrand_jet(jets.variable(s, 1), {}).value,
+                       a, b)
         for a, b in zip(anchors[:-1], anchors[1:])
     ])))
     running -= running[np.searchsorted(anchors, 0.0)]
@@ -357,13 +358,13 @@ def test_batched_z_matches_per_gap_on_open_grid():
 
 def _count_integrand_calls(monkeypatch):
     calls = [0]
-    original = IntegralCoordinate._integrand_values
+    original = IntegralCoordinate._integrand_jet
 
-    def counted(self, s):
+    def counted(self, t, shared):
         calls[0] += 1
-        return original(self, s)
+        return original(self, t, shared)
 
-    monkeypatch.setattr(IntegralCoordinate, "_integrand_values", counted)
+    monkeypatch.setattr(IntegralCoordinate, "_integrand_jet", counted)
     return calls
 
 
@@ -741,7 +742,7 @@ def test_frenet_matches_full_order_build(spec, r, tol):
                         np.stack([curv_jets[i].deriv(k)
                                   for k in range(upto + 1)]))
     if r >= 2:
-        f_jet = frame_scalars(fr).f_jet
+        f_jet = metric_frame(phi_frame(fr.frame_jets[0], spec.n), fr.frame_jets[1])
         want = metric_frame(phi_frame(frame_list[0], spec.n), frame_list[1])
         for k in range(2):
             _assert_bitwise(f_jet.deriv(k), want.deriv(k))

@@ -1,12 +1,20 @@
-"""Expression grammar, parse errors, and the jet-vs-stencil property."""
+"""Expression grammar, parse errors, domain errors, and the properties of
+the one (jet) evaluation mode."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from contactcurves import jets
+from contactcurves import families, jets
+from contactcurves.cli import load_curve_file
+from contactcurves.curves import coordinate_jets, make_legendre, sample_grid
 from contactcurves.expressions import EvaluationError, ExpressionError, parse
 
-from test_jets import fd1, fd2, fd3, fd4
+from test_jets import _assert_bitwise, fd1, fd2, fd3, fd4
+
+CURVES = Path(__file__).resolve().parent / "curves"
 
 
 def test_literals_and_precedence():
@@ -55,6 +63,14 @@ def test_parse_errors_carry_position():
         parse("2^t")
     with pytest.raises(ExpressionError, match="must be an integer"):
         parse("2^(1/2)")
+
+
+def test_constant_exponent_outside_its_domain_is_a_parse_error():
+    for text in ("t^(1/0)", "t^(0^(0-1))"):
+        with pytest.raises(ExpressionError, match="exponent divides by zero"):
+            parse(text)
+    with pytest.raises(ExpressionError, match="must be an integer, got inf"):
+        parse("t^(1e400)")
 
 
 def test_division_by_zero_names_t():
@@ -111,3 +127,98 @@ def test_jets_match_stencils_on_random_expressions():
         assert abs(j.deriv(4) - d4) <= 2e-3 * max(1.0, abs(d4))
         checked += 1
     assert checked == 100
+
+
+# ---------------------------------------------------------------------------
+# domain errors: every evaluation is a jet pass, so values raise as jets do
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [-1.0, np.array([1.0, -1.0]), jets.variable(-1.0, 3)])
+def test_log_outside_its_domain_raises_on_every_argument_type(t):
+    with pytest.raises(EvaluationError, match=r"log .* while evaluating 'log\(t\)'"):
+        parse("log(t)")(t)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, message", [
+    ("cos(t)+log(0-1)*0", "log of a non-positive"),
+    ("t+log(0)", "log of a non-positive"),
+    ("sin(t)+0^(0-1)*0", "division by zero"),
+    ("(1-1)^(0-2)", "division by zero"),
+])
+@pytest.mark.parametrize("t", [0.5, np.linspace(0.0, 1.0, 5), jets.variable(0.5, 2)])
+def test_constant_subexpression_outside_its_domain_raises(text, message, t):
+    with pytest.raises(EvaluationError, match=f"{message}.* while evaluating"):
+        parse(text)(t)
+
+
+def test_constant_powers_and_logs_inside_their_domain():
+    assert parse("t+log(1)")(2.0) == 2.0
+    assert parse("2^(0-2)+0^3+0^0")(0.0) == 1.25
+
+
+@pytest.mark.filterwarnings("error")
+def test_curve_positions_raise_on_a_domain_error():
+    spec = load_curve_file(CURVES / "domain_error.txt")
+    with pytest.raises(EvaluationError, match=r"log .*'log\(t-10\)'"):
+        spec.point(np.linspace(0.0, 1.0, 16))
+    with pytest.raises(EvaluationError, match=r"log .*'log\(t\)'"):
+        make_legendre(["t"], ["log(t)"]).point([-1.0])
+
+
+# ---------------------------------------------------------------------------
+# values are the value slot of a jet pass, bit for bit
+
+
+def _random_domain_expr(rng):
+    """A random expression, wrapped so that some leave their domain."""
+    a = _random_expr(rng, 3)
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        return a
+    if kind == 1:
+        return f"log({a})"
+    if kind == 2:
+        b = _random_expr(rng, 2)
+        return f"{a}/({b}-{b})"
+    return f"{a}+log(0-{rng.uniform(-1.0, 1.0):.3f})*0"
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate(), None
+    except EvaluationError as err:
+        return None, type(err)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_values_are_the_jet_value_slot(seed):
+    rng = np.random.default_rng(seed)
+    f = parse(_random_domain_expr(rng))
+    ts = rng.uniform(-2.0, 2.0, 9)
+    got, got_err = _outcome(lambda: f(ts))
+    want, want_err = _outcome(lambda: f(jets.variable(ts, 3)).value)
+    assert got_err is want_err
+    if got_err is None:
+        _assert_bitwise(got, want)
+        scalar, _ = _outcome(lambda: f(float(ts[0])))
+        assert isinstance(scalar, float)
+        _assert_bitwise(np.asarray(scalar), want[0])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 4))
+def test_curve_positions_are_the_jet_value_slot(seed, r):
+    spec, _ = families.random_legendre_curve(np.random.default_rng(seed), r)
+    ts = sample_grid(spec, 32)
+    _assert_bitwise(spec.point(ts), coordinate_jets(spec, ts, 3).value)
+    # a single parameter: z integrates the one gap from 0, not the grid's gaps
+    _assert_bitwise(spec.point(ts[5]), coordinate_jets(spec, ts[5], 3).value[:, 0])
+
+
+@pytest.mark.parametrize("spec", [families.rational_turn(), families.orthogonal_helix()])
+def test_stock_curve_positions_are_the_jet_value_slot(spec):
+    ts = np.linspace(-1.0, 2.0 * np.pi, 41)
+    _assert_bitwise(spec.point(ts), coordinate_jets(spec, ts, 3).value)
