@@ -26,6 +26,10 @@ solve block reports feasible false and the verdict "excluded: requires
 delta1/delta2 != 0") and the default ``scan --case I`` (the k1 = 1, k2 = 0
 cell, with the same verdict).
 
+The exit-2 paths are pinned on two files: ``domain_error.txt`` (a log
+outside its domain) and ``division_by_zero.txt`` (a zero divisor), each
+under ``analyze`` and ``flow``.
+
 Two flow lines pin the descent's other paths: ``--rate 1``, where most
 line-search trials are rejected and the step backtracks, and zero weights,
 where the first step stops with "zero gradient".
@@ -87,6 +91,9 @@ def _argvs():
     # a coordinate that leaves the domain of log: one error line, exit 2
     out.append(["analyze", "--curve", "tests/curves/domain_error.txt"])
     out.append(["flow", "--curve", "tests/curves/domain_error.txt", "--steps", "1"])
+    # a coordinate that divides by zero at every t: one error line, exit 2
+    out.append(["analyze", "--curve", "tests/curves/division_by_zero.txt"])
+    out.append(["flow", "--curve", "tests/curves/division_by_zero.txt", "--steps", "1"])
     out.append(["flow", "--curve", "demos/curves/example.txt", "--grid", "64",
                 "--steps", "5", "--delta1=-8", "--delta2=2"])
     # a large rate: most line-search trials are rejected and backtrack
@@ -223,6 +230,10 @@ DIGESTS = {
         '62a60fd0470888ed26326878cc766e953b6c92336865d6646e24f6d5050b6973',
     'flow --curve tests/curves/domain_error.txt --steps 1':
         '62a60fd0470888ed26326878cc766e953b6c92336865d6646e24f6d5050b6973',
+    'analyze --curve tests/curves/division_by_zero.txt':
+        '126c4b521ed1d19ed31c3970c9ff27714c5dc961f795aab05be15f8cd4577c52',
+    'flow --curve tests/curves/division_by_zero.txt --steps 1':
+        '126c4b521ed1d19ed31c3970c9ff27714c5dc961f795aab05be15f8cd4577c52',
     'flow --curve demos/curves/example.txt --grid 64 --steps 5 --delta1=-8 --delta2=2':
         'a2281df7f7574372bf2a528cf8d7de922bf19a0e1cbe17fcb19354e736f1fcc3',
     'flow --grid 64 --steps 5 --rate 1':
