@@ -8,13 +8,14 @@ integer powers with ``^``, the functions ``sin``, ``cos``, ``exp``, ``log``,
     expr   = term { ("+" | "-") term }
     term   = unary { ("*" | "/") unary }
     unary  = ("+" | "-") unary | power
-    power  = atom [ "^" unary ]          (exponent: constant integer)
+    power  = atom [ "^" unary ]          (exponent: integer constant)
     atom   = NUMBER | "t" | "pi" | NAME "(" expr ")" | "(" expr ")"
 
-Every evaluation is a truncated Taylor (jet) pass, and a plain value is the
-value slot of an order-0 jet, so values, derivatives and domain errors come
-from one evaluator.  A zero divisor, a log of a non-positive number or a
-negative power of zero raises :class:`EvaluationError`, in t or a constant.
+The parser folds constant subexpressions, so an exponent may be any
+constant with an integer value.  Every evaluation is a truncated Taylor
+(jet) pass over t, and a plain value is the value slot of an order-0 jet.
+A zero divisor, a log of a non-positive number or a negative power of zero
+raises :class:`EvaluationError` naming the expression, and t if t is in it.
 
 :meth:`Expr.evaluate` takes a sharing scope: a dict, owned by the caller,
 that holds every function call and every whole expression evaluated on one
@@ -25,6 +26,7 @@ sin/cos recurrence.  Calling an Expr evaluates it in a scope of its own.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -111,7 +113,7 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                node = ("bin", value, node, self.term())
+                node = _fold(("bin", value, node, self.term()))
             else:
                 return node
 
@@ -121,7 +123,7 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
-                node = ("bin", value, node, self.unary())
+                node = _fold(("bin", value, node, self.unary()))
             else:
                 return node
 
@@ -130,7 +132,7 @@ class _Parser:
         if kind == "op" and value in "+-":
             self.advance()
             node = self.unary()
-            return node if value == "+" else ("neg", node)
+            return node if value == "+" else _fold(("neg", node))
         return self.power()
 
     def power(self):
@@ -139,34 +141,32 @@ class _Parser:
         if kind == "op" and value == "^":
             self.advance()
             exponent = self.unary()
-            node = ("pow", node, self._const_int(exponent, pos))
+            node = _fold(("pow", node, self._const_int(exponent, pos)))
         return node
 
     def _const_int(self, node, pos):
-        try:
-            v = _const_value(node)
-        except _NotConstant:
-            raise ExpressionError("exponent must be a constant integer", pos) from None
-        except ZeroDivisionError:
-            raise ExpressionError("exponent divides by zero", pos) from None
-        if not np.isfinite(v) or v != int(v):
-            raise ExpressionError(f"exponent must be an integer, got {v}", pos)
-        return int(v)
+        if node[0] == "err":
+            raise ExpressionError(f"exponent is undefined: {node[1]}", pos)
+        if node[0] != "num":
+            raise ExpressionError("exponent must be a constant integer", pos)
+        if not np.isfinite(node[1]) or node[1] != int(node[1]):
+            raise ExpressionError(f"exponent must be an integer, got {node[1]}", pos)
+        return int(node[1])
 
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "num":
-            return ("num", float(value))
+            return _num(float(value))
         if kind == "name":
             if value == "t":
                 return ("t",)
             if value == "pi":
-                return ("num", float(np.pi))
+                return _num(float(np.pi))
             if value in _FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return ("call", value, arg)
+                return _fold(("call", value, arg))
             raise ExpressionError(f"unknown name {value!r}", pos)
         if kind == "op" and value == "(":
             node = self.expr()
@@ -175,29 +175,30 @@ class _Parser:
         raise ExpressionError(f"unexpected {value!r}", pos)
 
 
-class _NotConstant(Exception):
-    pass
+def _num(value):
+    # the sign slot keeps -0.0 and 0.0, equal as values, apart as scope keys
+    return ("num", value, math.copysign(1.0, value))
 
 
-def _const_value(node):
+def _fold(node):
+    """node, or the number it evaluates to, with the same bits, if its operands
+    are numbers; a constant outside its domain is an error node instead."""
     tag = node[0]
-    if tag == "num":
-        return node[1]
-    if tag == "neg":
-        return -_const_value(node[1])
-    if tag == "bin":
-        _, op, left, right = node
-        a, b = _const_value(left), _const_value(right)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        return a / b
-    if tag == "pow":
-        return _const_value(node[1]) ** node[2]
-    raise _NotConstant
+    operands = node[2:] if tag in ("bin", "call") else node[1:2]
+    if any(x[0] != "num" for x in operands):
+        return node
+    try:
+        if tag == "call":
+            value = _FUNCTIONS[node[1]](jets.constant(operands[0][1], 0)).value
+        elif tag == "pow":
+            if operands[0][1] == 0.0 and node[2] < 0:   # as a jet base fails
+                raise jets.JetDomainError("division by zero in jet arithmetic")
+            value = np.asarray(operands[0][1]) ** node[2]
+        else:
+            value = _eval(node, None, None)
+    except jets.JetDomainError as err:
+        return ("err", str(err))
+    return _num(float(value))
 
 
 def _eval(node, t, shared):
@@ -220,35 +221,28 @@ def _eval(node, t, shared):
             return a * b
         zero = (b.value if isinstance(b, jets.Jet) else b) == 0.0
         if np.any(zero):
-            # a constant divisor has no parameter value to name
+            # only a divisor that is a jet of t has a parameter value to name
             where = (f" at t={float(np.asarray(t.value)[zero][0])}"
-                     if np.shape(zero) == t.shape else "")
-            raise EvaluationError("division by zero" + where)
+                     if isinstance(b, jets.Jet) else "")
+            raise jets.JetDomainError("division by zero" + where)
         return a / b
     if tag == "pow":
-        base = _eval(node[1], t, shared)
-        if isinstance(base, jets.Jet):
-            return base**node[2]
-        if base == 0.0 and node[2] < 0:
-            # the error a jet base gives, from the division in Jet.__pow__
-            raise jets.JetDomainError("division by zero in jet arithmetic")
-        return np.asarray(base, dtype=float) ** node[2]
+        return _eval(node[1], t, shared) ** node[2]
     if tag == "call":
         return _call(node, t, shared)
-    raise AssertionError(f"unhandled node {tag}")
+    raise jets.JetDomainError(node[1])      # an "err" node
 
 
 def _call(node, t, shared):
-    """A function call, computed once per scope.
+    """A function call on a jet of t, computed once per scope.
 
-    The key is the call's AST.  Parser literals are unsigned (a minus sign
-    is a "neg" node), so ASTs that compare equal evaluate identically;
-    0.0 == -0.0 never merges two different calls.
+    The key is the call's AST.  Number leaves carry their sign, so ASTs
+    that compare equal evaluate identically although 0.0 == -0.0.
     """
     _, name, arg = node
     if node not in shared:
         x = _eval(arg, t, shared)
-        if name in ("sin", "cos") and isinstance(x, jets.Jet):
+        if name in ("sin", "cos"):
             shared[("call", "sin", arg)], shared[("call", "cos", arg)] = jets._sin_cos(x)
         else:
             shared[node] = _FUNCTIONS[name](x)
@@ -275,20 +269,19 @@ class Expr:
         """Jet of the expression over the variable jet t, in the sharing scope shared.
 
         shared holds the results of one pass over the single variable t
-        and must not outlive it.  A whole expression is keyed apart from
-        its calls, since a constant call's value is a float while the
-        expression's jet follows the shape of t.
+        and must not outlive it.  It is keyed by AST, for the calls and for
+        whole expressions alike; an expression that is one call is that
+        call's jet.
         """
-        key = ("expr", self.ast)
-        if key in shared:
-            return shared[key]
+        if self.ast in shared:
+            return shared[self.ast]
         try:
             out = _eval(self.ast, t, shared)
         except jets.JetDomainError as err:
             raise EvaluationError(f"{err} while evaluating {self.text!r}") from err
         if not isinstance(out, jets.Jet):
             out = jets.constant(np.broadcast_to(out, t.shape), t.order)
-        shared[key] = out
+        shared[self.ast] = out
         return out
 
     def __repr__(self):

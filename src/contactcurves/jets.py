@@ -258,21 +258,15 @@ def _sin_cos(u: Jet):
     return Jet(s), Jet(c)
 
 
-def sin(x):
-    if isinstance(x, Jet):
-        return _sin_cos(x)[0]
-    return np.sin(x)
+def sin(x: Jet) -> Jet:
+    return _sin_cos(x)[0]
 
 
-def cos(x):
-    if isinstance(x, Jet):
-        return _sin_cos(x)[1]
-    return np.cos(x)
+def cos(x: Jet) -> Jet:
+    return _sin_cos(x)[1]
 
 
-def exp(x):
-    if not isinstance(x, Jet):
-        return np.exp(x)
+def exp(x: Jet) -> Jet:
     K = x.order
     e = np.zeros_like(x.coeffs)
     e[0] = np.exp(x.coeffs[0])
@@ -282,12 +276,10 @@ def exp(x):
     return Jet(e)
 
 
-def log(x):
-    u0 = x.coeffs[0] if isinstance(x, Jet) else x
+def log(x: Jet) -> Jet:
+    u0 = x.coeffs[0]
     if np.any(u0 <= 0.0):
         raise JetDomainError("log of a non-positive jet value")
-    if not isinstance(x, Jet):
-        return np.log(x)
     K = x.order
     v = np.zeros_like(x.coeffs)
     v[0] = np.log(u0)
@@ -300,9 +292,7 @@ def log(x):
     return Jet(v)
 
 
-def atan(x):
-    if not isinstance(x, Jet):
-        return np.arctan(x)
+def atan(x: Jet) -> Jet:
     K = x.order
     v = np.zeros_like(x.coeffs)
     v[0] = np.arctan(x.coeffs[0])
@@ -313,9 +303,7 @@ def atan(x):
     return Jet(v)
 
 
-def sqrt(x):
-    if not isinstance(x, Jet):
-        return np.sqrt(x)
+def sqrt(x: Jet) -> Jet:
     u0 = x.coeffs[0]
     if np.any(u0 <= 0.0):
         raise JetDomainError("sqrt of a non-positive jet value")

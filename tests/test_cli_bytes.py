@@ -28,7 +28,9 @@ cell, with the same verdict).
 
 The exit-2 paths are pinned on two files: ``domain_error.txt`` (a log
 outside its domain) and ``division_by_zero.txt`` (a zero divisor), each
-under ``analyze`` and ``flow``.
+under ``analyze`` and ``flow``.  The two division lines were re-recorded
+when a zero divisor began to name its expression, as every other domain
+error does.
 
 Two flow lines pin the descent's other paths: ``--rate 1``, where most
 line-search trials are rejected and the step backtracks, and zero weights,
@@ -231,9 +233,9 @@ DIGESTS = {
     'flow --curve tests/curves/domain_error.txt --steps 1':
         '62a60fd0470888ed26326878cc766e953b6c92336865d6646e24f6d5050b6973',
     'analyze --curve tests/curves/division_by_zero.txt':
-        '126c4b521ed1d19ed31c3970c9ff27714c5dc961f795aab05be15f8cd4577c52',
+        '86f3a71f459937b3ce13290ef57324db260d44d6b16ecb349de242e714688cf5',
     'flow --curve tests/curves/division_by_zero.txt --steps 1':
-        '126c4b521ed1d19ed31c3970c9ff27714c5dc961f795aab05be15f8cd4577c52',
+        '86f3a71f459937b3ce13290ef57324db260d44d6b16ecb349de242e714688cf5',
     'flow --curve demos/curves/example.txt --grid 64 --steps 5 --delta1=-8 --delta2=2':
         'a2281df7f7574372bf2a528cf8d7de922bf19a0e1cbe17fcb19354e736f1fcc3',
     'flow --grid 64 --steps 5 --rate 1':

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from contactcurves import families, jets
 from contactcurves.cli import load_curve_file
-from contactcurves.curves import coordinate_jets, make_legendre, sample_grid
+from contactcurves.curves import (CurveSpec, coordinate_jets, make_legendre,
+                                  sample_grid)
 from contactcurves.expressions import EvaluationError, ExpressionError, parse
 
 from test_jets import _assert_bitwise, fd1, fd2, fd3, fd4
@@ -67,10 +68,20 @@ def test_parse_errors_carry_position():
 
 def test_constant_exponent_outside_its_domain_is_a_parse_error():
     for text in ("t^(1/0)", "t^(0^(0-1))"):
-        with pytest.raises(ExpressionError, match="exponent divides by zero"):
+        with pytest.raises(ExpressionError,
+                           match="exponent is undefined: division by zero"):
             parse(text)
+    with pytest.raises(ExpressionError, match="exponent is undefined: log of"):
+        parse("t^(log(0))")
     with pytest.raises(ExpressionError, match="must be an integer, got inf"):
         parse("t^(1e400)")
+
+
+def test_exponent_is_any_constant_with_an_integer_value():
+    t = jets.variable(np.linspace(-1.0, 1.0, 5), 3)
+    for text in ("t^(exp(0))", "t^(2*cos(0)-1)", "t^(log(1)+1)"):
+        _assert_bitwise(parse(text)(t).coeffs, parse("t^1")(t).coeffs)
+    assert parse("t^(atan(1)*4/pi+1)")(3.0) == 9.0
 
 
 def test_division_by_zero_names_t():
@@ -81,6 +92,60 @@ def test_division_by_zero_names_t():
         f(jets.variable(np.array([0.0, 1.0, 2.0]), 4))
     # fine away from the pole
     assert np.isclose(f(3.0), 0.5)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/(t-t)", "division by zero at t=0.5 while evaluating '1/(t-t)'"),
+    # a constant divisor names no t: t plays no part in the error
+    ("1/0", "division by zero while evaluating '1/0'"),
+    ("t/0", "division by zero while evaluating 't/0'"),
+    ("t/(0*(0-1))", "division by zero while evaluating 't/(0*(0-1))'"),
+])
+@pytest.mark.parametrize("t", [0.5, np.array([0.5, 1.0]), jets.variable(0.5, 2)])
+def test_division_by_zero_names_the_expression(text, message, t):
+    f = parse(text)
+    with pytest.raises(EvaluationError) as err:
+        f(t)
+    assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# constant folding and the sharing scope
+
+
+def test_constants_fold_to_their_evaluated_bits():
+    # folded, the constant is one number leaf with the value evaluation gave
+    for text, want in [("cos(atan(3/4))", np.cos(np.arctan(3.0 / 4.0))),
+                       ("-(0.0703)", -0.0703),
+                       ("(1.1)^3", np.asarray(1.1) ** 3),
+                       ("exp(1)/3-log(2)", np.exp(1.0) / 3.0 - np.log(2.0))]:
+        ast = parse(text).ast
+        assert ast[0] == "num"
+        _assert_bitwise(np.asarray(ast[1]), np.asarray(want))
+    assert parse("0*(0-1)").ast[1] == 0.0 and np.signbit(parse("0*(0-1)").ast[1])
+    # an operand of t keeps the node
+    assert parse("2*t").ast[0] == "bin"
+
+
+@pytest.mark.parametrize("texts", [
+    ["0*(0-1)", "0", "t"],
+    ["sin(t*(0*(0-1)))", "sin(t*0)", "t"],
+    ["sin(t*0)", "sin(t*(0*(0-1)))", "t/(0*(0-1)-1)"],
+])
+def test_scope_keys_tell_negative_zero_from_zero(texts):
+    # -0.0 == 0.0, so a scope keyed on values alone would hand the first
+    # coordinate's jet to the second; each must equal its own evaluation
+    spec = CurveSpec(1, texts)
+    ts = np.linspace(0.25, 1.0, 4)
+    for order in (0, 3):
+        got = coordinate_jets(spec, ts, order)
+        for i, text in enumerate(texts):
+            _assert_bitwise(got.coeffs[:, i], parse(text)(jets.variable(ts, order)).coeffs)
+    a, b = parse(texts[0]), parse(texts[1])
+    t = jets.variable(ts, 2)
+    shared = {}
+    a.evaluate(t, shared)
+    _assert_bitwise(b.evaluate(t, shared).coeffs, b(t).coeffs)
 
 
 def _random_expr(rng, depth):
