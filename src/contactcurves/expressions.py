@@ -16,6 +16,7 @@ constant with an integer value.  Every evaluation is a truncated Taylor
 (jet) pass over t, and a plain value is the value slot of an order-0 jet.
 A zero divisor, a log of a non-positive number or a negative power of zero
 raises :class:`EvaluationError` naming the expression, and t if t is in it.
+An expression nested deeper than :data:`MAX_DEPTH` does not parse.
 
 :meth:`Expr.evaluate` takes a sharing scope: a dict, owned by the caller,
 that holds every function call and every whole expression evaluated on one
@@ -33,7 +34,10 @@ import numpy as np
 
 from . import jets
 
-__all__ = ["Expr", "ExpressionError", "EvaluationError", "parse"]
+__all__ = ["Expr", "ExpressionError", "EvaluationError", "MAX_DEPTH", "parse"]
+
+# deepest syntax tree or nesting the parser accepts: far below Python's recursion limit
+MAX_DEPTH = 100
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -81,10 +85,12 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent; each rule returns (folded node, syntax-tree depth)."""
+
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0    # open unary rules: every recursion passes one
 
     def peek(self):
         return self.tokens[self.i]
@@ -94,55 +100,65 @@ class _Parser:
         self.i += 1
         return tok
 
+    def at_op(self, ops):
+        kind, value, _ = self.peek()
+        return kind == "op" and value in ops
+
     def expect_op(self, op):
         kind, value, pos = self.peek()
         if kind != "op" or value != op:
             raise ExpressionError(f"expected {op!r}", pos)
         return self.advance()
 
+    def deeper(self, pos, depth):
+        if depth >= MAX_DEPTH:
+            raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+        return depth + 1
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         kind, value, pos = self.peek()
         if kind != "end":
             raise ExpressionError(f"unexpected {value!r} after expression", pos)
         return node
 
     def expr(self):
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = _fold(("bin", value, node, self.term()))
-            else:
-                return node
+        node, depth = self.term()
+        while self.at_op("+-"):
+            _, op, pos = self.advance()
+            right, right_depth = self.term()
+            node = _fold(("bin", op, node, right))
+            depth = self.deeper(pos, max(depth, right_depth))
+        return node, depth
 
     def term(self):
-        node = self.unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = _fold(("bin", value, node, self.unary()))
-            else:
-                return node
+        node, depth = self.unary()
+        while self.at_op("*/"):
+            _, op, pos = self.advance()
+            right, right_depth = self.unary()
+            node = _fold(("bin", op, node, right))
+            depth = self.deeper(pos, max(depth, right_depth))
+        return node, depth
 
     def unary(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            self.advance()
-            node = self.unary()
-            return node if value == "+" else _fold(("neg", node))
-        return self.power()
+        self.nesting = self.deeper(self.peek()[2], self.nesting)
+        if self.at_op("+-"):
+            _, sign, pos = self.advance()
+            node, depth = self.unary()
+            if sign == "-":
+                node, depth = _fold(("neg", node)), self.deeper(pos, depth)
+        else:
+            node, depth = self.power()
+        self.nesting -= 1
+        return node, depth
 
     def power(self):
-        node = self.atom()
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            exponent = self.unary()
-            node = _fold(("pow", node, self._const_int(exponent, pos)))
-        return node
+        node, depth = self.atom()
+        if not self.at_op("^"):
+            return node, depth
+        pos = self.advance()[2]
+        exponent = self._const_int(self.unary()[0], pos)
+        return _fold(("pow", node, exponent)), self.deeper(pos, depth)
 
     def _const_int(self, node, pos):
         if node[0] == "err":
@@ -156,17 +172,17 @@ class _Parser:
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "num":
-            return _num(float(value))
+            return _num(float(value)), 1
         if kind == "name":
             if value == "t":
-                return ("t",)
+                return ("t",), 1
             if value == "pi":
-                return _num(float(np.pi))
+                return _num(float(np.pi)), 1
             if value in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg, depth = self.expr()
                 self.expect_op(")")
-                return _fold(("call", value, arg))
+                return _fold(("call", value, arg)), self.deeper(pos, depth)
             raise ExpressionError(f"unknown name {value!r}", pos)
         if kind == "op" and value == "(":
             node = self.expr()

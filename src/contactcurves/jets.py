@@ -163,23 +163,24 @@ class Jet:
         return _divide(constant(other, self.order), self)
 
     def __pow__(self, exponent):
-        m = exponent
-        if isinstance(m, float):
-            if not m.is_integer():
-                raise JetDomainError(f"non-integer exponent {exponent!r} in jet power")
-            m = int(m)
-        if not isinstance(m, (int, np.integer)):
+        if not (isinstance(exponent, (int, float, np.integer))
+                and float(exponent).is_integer()):
             raise JetDomainError(f"non-integer exponent {exponent!r} in jet power")
-        m = int(m)
+        m = int(exponent)
         if m < 0:
             return 1.0 / (self ** (-m))
-        result = constant(np.ones(self.shape), self.order)
+        if m == 0:
+            return constant(np.ones(self.shape), self.order)
+        # binary powering from the lowest set bit: no product with a constant
+        # one, and no squaring past the highest bit
         base = self
-        while m:
+        while not m & 1:
+            base, m = base * base, m >> 1
+        result = base
+        while m := m >> 1:
+            base = base * base
             if m & 1:
                 result = result * base
-            base = base * base
-            m >>= 1
         return result
 
 

@@ -428,6 +428,42 @@ def test_config_validation(capsys):
     assert rc == 2 and "--steps" in err
 
 
+DEEP_EXPRESSIONS = {
+    "parentheses": "(" * 300 + "t" + ")" * 300,
+    "calls": "sin(" * 300 + "t" + ")" * 300,
+    "signs": "-" * 300 + "t",
+    "sum": "+".join(["0*t"] * 999 + ["t"]),
+}
+
+
+@pytest.mark.parametrize("text", DEEP_EXPRESSIONS.values(), ids=DEEP_EXPRESSIONS)
+def test_deep_expression_exits_2_naming_the_coordinate(tmp_path, capsys, text):
+    path = tmp_path / "deep.txt"
+    path.write_text(f"n=1\n{text}\n0\n0\n")
+    rc, out, err = run(["analyze", "--curve", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: curve file {path}: coordinate 1 does not parse: "
+                          "expression nests deeper than 100 levels (at position ")
+    assert len(err.splitlines()) == 1
+
+
+def test_long_sum_exits_2_in_a_fresh_interpreter(tmp_path):
+    # 200 000 terms: evaluating the tree once crashed the interpreter, so
+    # the run is a subprocess whose exit code a crash cannot hide
+    import subprocess
+    import sys
+
+    path = tmp_path / "long.txt"
+    path.write_text("n=1\n" + "+".join(["t"] * 200_000) + "\n0\n0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "contactcurves.cli", "analyze", "--curve", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert "coordinate 1 does not parse: expression nests deeper" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # verify-example
 
@@ -440,6 +476,19 @@ def test_verify_example_passes(capsys):
     assert not any(ln.startswith("FAIL") for ln in lines)
     assert lines[-1] == "verify-example: PASS (9 checks)"
     assert any("norm 8" in ln for ln in lines)
+
+
+def test_verify_example_reports_failed_checks(monkeypatch, capsys):
+    # the k1 = 3 circle fails five of the nine expectations, which hold
+    # for the built-in k1 = 2 circle only
+    monkeypatch.setattr(cli, "example_spec", lambda: curves.CurveSpec(
+        2, ["(2/3)*sin(3*t)", "-(2/3)*cos(3*t)", "0", "0", "1"]))
+    rc, out, _ = run(["verify-example"], capsys)
+    lines = out.splitlines()
+    assert rc == 1
+    assert len(lines) == 10
+    assert sum(1 for ln in lines if ln.startswith("FAIL")) == 5
+    assert lines[-1] == "verify-example: FAIL (5 of 9 checks failed)"
 
 
 # ---------------------------------------------------------------------------

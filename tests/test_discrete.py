@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactcurves import curves, discrete, families
 
@@ -360,3 +361,70 @@ def test_descend_rows_match_fresh_evaluation(spec, closed, delta):
     assert last.energy == discrete.discrete_energy(res.curve, delta).total
     assert last.max_defect == res.curve.max_defect()
     assert last.analyzer_residual == discrete.max_residual_norm(res.curve, delta, c=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# the model's isometries, applied to the points, leave the discrete energy
+# and residual unchanged
+
+
+def heisenberg_translation(points, n, a, b, c0):
+    """x + a, y + b, z + b.x + c0."""
+    x, y, z = points[:n], points[n:2 * n], points[2 * n]
+    return np.vstack([x + a[:, None], y + b[:, None], z + b @ x + c0])
+
+
+def plane_rotation(points, n, i, angle):
+    """Rotation of the (x_i, y_i) plane, with the z correction that keeps
+    dz - y.dx invariant."""
+    c, s = math.cos(angle), math.sin(angle)
+    x, y = points[i], points[n + i]
+    out = points.copy()
+    out[i], out[n + i] = c * x - s * y, s * x + c * y
+    out[2 * n] = points[2 * n] + (s * c / 2) * (x * x - y * y) - s * s * x * y
+    return out
+
+
+# r4_curve(0) does not close over its period, so it samples an open polyline
+ISOMETRY_CURVES = {
+    "circle": discrete.DiscreteCurve.from_spec(families.circle(), 64),
+    "r4": discrete.DiscreteCurve.from_spec(families.r4_curve(0), 64),
+    **{f"{name}_open": discrete.DiscreteCurve.from_spec(spec, 64, span=(0.2, 2.6))
+       for name, spec in (("orthogonal_helix", families.orthogonal_helix()),
+                          ("helix", families.helix()),
+                          ("r4", families.r4_curve(0)))},
+}
+ISOMETRY_CASES = [(name, kind) for name, curve in ISOMETRY_CURVES.items()
+                  for kind in ("translation", "rotation", "shift")
+                  if kind != "shift" or curve.closed]   # a shift needs a closed polyline
+
+
+@pytest.mark.parametrize("delta", [(0.7, 1.0), (-8.0, 2.0)])
+@pytest.mark.parametrize("name, kind", ISOMETRY_CASES)
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_energy_and_residual_are_isometry_invariant(name, kind, delta, data):
+    # measured worst cases: energy 2e-15 of |dirichlet| + |bending|, and the
+    # residual norm 2e-7 relative on the open orthogonal helix at (-8, 2),
+    # where the norm is small; a cyclic shift changes neither bit
+    base = ISOMETRY_CURVES[name]
+    n, N = base.n, base.N
+    coord = st.floats(-2.0, 2.0)
+    if kind == "translation":
+        a = np.array(data.draw(st.lists(coord, min_size=n, max_size=n)))
+        b = np.array(data.draw(st.lists(coord, min_size=n, max_size=n)))
+        points = heisenberg_translation(base.points, n, a, b, data.draw(coord))
+    elif kind == "rotation":
+        points = plane_rotation(base.points, n, data.draw(st.integers(0, n - 1)),
+                                data.draw(st.floats(-math.pi, math.pi)))
+    else:
+        points = np.roll(base.points, data.draw(st.integers(1, N - 1)), axis=1)
+    curve = moved(base, points)
+    e0, e = discrete.discrete_energy(base, delta), discrete.discrete_energy(curve, delta)
+    assert abs(e.total - e0.total) <= 1e-13 * (abs(e0.dirichlet) + abs(e0.bending))
+    r0 = discrete.max_residual_norm(base, delta)
+    r = discrete.max_residual_norm(curve, delta)
+    if kind == "shift":
+        assert r == r0
+    else:
+        assert abs(r - r0) <= 2e-6 * r0

@@ -11,7 +11,8 @@ from contactcurves import families, jets
 from contactcurves.cli import load_curve_file
 from contactcurves.curves import (CurveSpec, coordinate_jets, make_legendre,
                                   sample_grid)
-from contactcurves.expressions import EvaluationError, ExpressionError, parse
+from contactcurves.expressions import (MAX_DEPTH, EvaluationError, ExpressionError,
+                                       parse)
 
 from test_jets import _assert_bitwise, fd1, fd2, fd3, fd4
 
@@ -146,6 +147,30 @@ def test_scope_keys_tell_negative_zero_from_zero(texts):
     shared = {}
     a.evaluate(t, shared)
     _assert_bitwise(b.evaluate(t, shared).coeffs, b(t).coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the depth bound
+
+
+@pytest.mark.parametrize("make", [
+    lambda k: "(" * k + "t" + ")" * k,
+    lambda k: "sin(" * k + "t" + ")" * k,
+    lambda k: "-" * k + "t",
+    lambda k: "+" * k + "t",
+    lambda k: "+".join(["t"] * (k + 1)),
+    lambda k: "/".join(["t"] * (k + 1)),
+])
+def test_depth_bound(make):
+    # an expression at the bound parses and evaluates; one level more is a
+    # parse error at a position inside the expression
+    at, past = make(MAX_DEPTH - 1), make(MAX_DEPTH)
+    j = parse(at)(jets.variable(np.array([0.5, 2.0]), 3))
+    assert np.all(np.isfinite(j.coeffs))
+    with pytest.raises(ExpressionError, match=f"nests deeper than {MAX_DEPTH} levels"
+                       ) as err:
+        parse(past)
+    assert 0 < err.value.position < len(past)
 
 
 def _random_expr(rng, depth):

@@ -375,3 +375,39 @@ def test_sub_and_divide_signed_zeros():
     x = _positive_base(neg)
     _assert_bitwise(jets.sqrt(jets.Jet(x)).coeffs, _copy_sqrt(x))
     _assert_bitwise(jets.log(jets.Jet(x)).coeffs, _copy_log(x))
+
+
+def _loop_pow(x, m):
+    """The power loop that multiplied into a constant-one jet."""
+    result = jets.constant(np.ones(x.shape), x.order)
+    base = x
+    while m:
+        if m & 1:
+            result = result * base
+        base = base * base
+        m >>= 1
+    return result
+
+
+def test_power_forms_only_the_binary_method_products(monkeypatch):
+    # t^m for m = 1..8 needs 0, 1, 2, 2, 3, 3, 4, 3 products: one squaring
+    # per bit below the top one and one product per further set bit
+    rng = np.random.default_rng(11)
+    x = jets.Jet(rng.uniform(-2.0, 2.0, (6, 5)))
+    want = {m: _loop_pow(x, m).coeffs for m in range(1, 9)}
+    calls = [0]
+    original = jets.Jet.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(jets.Jet, "__mul__", counted)
+    counts = []
+    for m in range(1, 9):
+        calls[0] = 0
+        got = x**m
+        counts.append(calls[0])
+        _assert_bitwise(got.coeffs, want[m])
+    assert counts == [0, 1, 2, 2, 3, 3, 4, 3]
+    assert (x**0).coeffs.tolist() == jets.constant(np.ones(5), 5).coeffs.tolist()
