@@ -1,10 +1,10 @@
 """Truncated Taylor (jet) arithmetic.
 
 A :class:`Jet` stores Taylor coefficients a_k = f^(k)(t0)/k! of a function of
-one parameter, up to a fixed order.  Arithmetic and the elementary functions
-propagate coefficients through the classic convolution recurrences, so every
-derivative read off a jet is exact up to rounding; there is no step size to
-tune anywhere.
+one parameter, up to a fixed order.  Arithmetic and the elementary functions,
+which take jets only (a constant is an order-0 jet), propagate coefficients
+through the classic convolution recurrences, so every derivative read off a
+jet is exact up to rounding; there is no step size to tune anywhere.
 
 The product and the sin/cos/exp recurrences form each output order with one
 contraction over the order axis (:func:`_convolve`) instead of a Python
