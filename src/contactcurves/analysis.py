@@ -273,11 +273,8 @@ def theorem31_check(frenet, scalars, c=-3.0, delta=(0.0, 1.0), tol=1e-6):
     outside span{E_1..E_m}.
     """
     report = residual_closed_form(frenet, scalars, c, delta)
-    checks = [
-        EquationCheck(i + 1, float(np.max(np.abs(row))),
-                      bool(np.max(np.abs(row)) <= tol))
-        for i, row in enumerate(report.equation_residuals)
-    ]
+    checks = [EquationCheck(i + 1, peak, peak <= tol)
+              for i, peak in enumerate(report.equations)]
 
     n = frenet.n
     N = frenet.ts.size

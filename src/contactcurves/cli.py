@@ -426,7 +426,7 @@ def cmd_flow(args):
     header = ["step", "energy", "max_defect", "analyzer_residual"]
     columns = [[getattr(row, name) for row in result.rows] for name in header]
     text = reporting.to_csv(header, columns)
-    if result.stopped and result.diagnostic:
+    if result.stopped:
         text += f"# stopped: {result.diagnostic}\n"
     _write_output(text, args.out)
     return 0
@@ -525,12 +525,8 @@ def main(argv=None):
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CurveError, EvaluationError, discrete.DiscreteCurveError,
-            discrete.VariationError, analysis.AnalysisError,
-            reporting.ReportError) as exc:
+    except (ConfigError, CurveError, EvaluationError, discrete.DiscreteCurveError,
+            analysis.AnalysisError, reporting.ReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -323,22 +323,18 @@ class VariationReport:
 def first_variation_check(spec, delta, V, N=256, eps=1e-4, c=-3.0):
     """Compare the discrete energy slope along V with the analyzer pairing.
 
-    V is either a callable t -> coordinate components or an array of
-    samples (dim, N).  It is projected onto the contact planes first; on
-    open curves it must vanish near the endpoints.  The two numbers agree
-    up to O(h^2 + eps^2) when the implementation is consistent, with the
-    global sign sigma = +1.
+    V holds the variation's samples on the grid, shape (dim, N).  It is
+    projected onto the contact planes first; on open curves it must vanish
+    near the endpoints.  The two numbers agree up to O(h^2 + eps^2) when
+    the implementation is consistent, with the global sign sigma = +1.
     """
     ts = sample_grid(spec, N)
     base = DiscreteCurve.from_spec(spec, N)
-    if callable(V):
-        cols = np.stack([np.asarray(V(t), dtype=float) for t in ts], axis=1)
-    else:
-        cols = np.asarray(V, dtype=float)
-        if cols.shape != (base.dim, N):
-            raise VariationError(
-                f"variation samples must have shape ({base.dim}, {N}), got {cols.shape}"
-            )
+    cols = np.asarray(V, dtype=float)
+    if cols.shape != (base.dim, N):
+        raise VariationError(
+            f"variation samples must have shape ({base.dim}, {N}), got {cols.shape}"
+        )
     cols = _project_contact(base, cols)
     if not spec.closed:
         edge = np.abs(cols[:, [0, 1, -2, -1]]).max()
@@ -382,8 +378,11 @@ class DescentRow:
 class DescentResult:
     curve: DiscreteCurve
     rows: list
-    stopped: bool = False
-    diagnostic: str | None = None
+    diagnostic: str | None = None     # why the loop stopped early, if it did
+
+    @property
+    def stopped(self):
+        return self.diagnostic is not None
 
     @property
     def energies(self):
@@ -414,14 +413,12 @@ def descend(curve: DiscreteCurve, delta, steps=50, rate=0.05, c=-3.0) -> Descent
             direction[:, 0] = 0.0
             direction[:, -1] = 0.0
         if np.abs(direction).max() == 0.0:
-            return DescentResult(cur, rows, stopped=True,
-                                 diagnostic=f"zero gradient at step {step}")
+            return DescentResult(cur, rows, f"zero gradient at step {step}")
         slope = -float(np.sum(grad * direction))
         if not slope > 0.0:
             return DescentResult(
-                cur, rows, stopped=True,
-                diagnostic=("projected direction is not a descent direction "
-                            f"at step {step}"),
+                cur, rows,
+                f"projected direction is not a descent direction at step {step}",
             )
         alpha = rate
         while True:
@@ -432,9 +429,7 @@ def descend(curve: DiscreteCurve, delta, steps=50, rate=0.05, c=-3.0) -> Descent
             alpha *= 0.5
             if alpha < rate * 1e-12:
                 return DescentResult(
-                    cur, rows, stopped=True,
-                    diagnostic=f"line search step underflow at step {step}",
-                )
+                    cur, rows, f"line search step underflow at step {step}")
         cur, energy = trial, trial_energy
         rows.append(DescentRow(step, energy, cur.max_defect(),
                                max_residual_norm(cur, delta, c)))

@@ -42,7 +42,8 @@ MAX_DEPTH = 100
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"
 )
 
 _FUNCTIONS = {
@@ -68,20 +69,16 @@ class EvaluationError(ValueError):
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise ExpressionError(f"unexpected character {text[bad_at]!r}", bad_at)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {m.group(kind)!r}", m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+_BINARY_OPS = ("+-", "*/")     # by precedence level, loosest first
 
 
 class _Parser:
@@ -122,20 +119,12 @@ class _Parser:
             raise ExpressionError(f"unexpected {value!r} after expression", pos)
         return node
 
-    def expr(self):
-        node, depth = self.term()
-        while self.at_op("+-"):
+    def expr(self, level=0):
+        """A left fold of "+-" operands (level 0) or "*/" operands (level 1)."""
+        node, depth = self.expr(1) if level == 0 else self.unary()
+        while self.at_op(_BINARY_OPS[level]):
             _, op, pos = self.advance()
-            right, right_depth = self.term()
-            node = _fold(("bin", op, node, right))
-            depth = self.deeper(pos, max(depth, right_depth))
-        return node, depth
-
-    def term(self):
-        node, depth = self.unary()
-        while self.at_op("*/"):
-            _, op, pos = self.advance()
-            right, right_depth = self.unary()
+            right, right_depth = self.expr(1) if level == 0 else self.unary()
             node = _fold(("bin", op, node, right))
             depth = self.deeper(pos, max(depth, right_depth))
         return node, depth

@@ -128,10 +128,8 @@ def two_exp_invariants(theta, mu, nu, tol=1e-9):
 
 def two_exponential(theta, mu, nu, phase1=0.0, phase2=0.0, z0=0.0):
     """Legendre curve whose horizontal velocity is two rotating components."""
-    x1, y1 = _rotating_pair(math.cos(theta), mu, phase1)
-    x2, y2 = _rotating_pair(math.sin(theta), nu, phase2)
-    closed = _closes(mu, nu)
-    return make_legendre([x1, x2], [y1, y2], z0=z0, closed=closed)
+    return multi_exponential((math.cos(theta), math.sin(theta)), (mu, nu),
+                             (phase1, phase2), z0=z0)
 
 
 def _closes(*freqs):
