@@ -14,8 +14,9 @@ integer powers with ``^``, the functions ``sin``, ``cos``, ``exp``, ``log``,
 The parser folds constant subexpressions, so an exponent may be any
 constant with an integer value.  Every evaluation is a truncated Taylor
 (jet) pass over t, and a plain value is the value slot of an order-0 jet.
-A zero divisor, a log of a non-positive number or a negative power of zero
-raises :class:`EvaluationError` naming the expression, and t if t is in it.
+A zero divisor, a log of a non-positive number, a negative power of zero or
+a constant that is not finite (``10^400``, ``1e400*0``) raises
+:class:`EvaluationError` naming the expression, and t if t is in it.
 An expression nested deeper than :data:`MAX_DEPTH` does not parse.
 
 :meth:`Expr.evaluate` takes a sharing scope: a dict, owned by the caller,
@@ -154,7 +155,7 @@ class _Parser:
             raise ExpressionError(f"exponent is undefined: {node[1]}", pos)
         if node[0] != "num":
             raise ExpressionError("exponent must be a constant integer", pos)
-        if not np.isfinite(node[1]) or node[1] != int(node[1]):
+        if not node[1].is_integer():      # a number leaf is finite
             raise ExpressionError(f"exponent must be an integer, got {node[1]}", pos)
         return int(node[1])
 
@@ -182,25 +183,29 @@ class _Parser:
 
 def _num(value):
     # the sign slot keeps -0.0 and 0.0, equal as values, apart as scope keys
+    if not math.isfinite(value):
+        return ("err", f"non-finite constant {value!r}")
     return ("num", value, math.copysign(1.0, value))
 
 
 def _fold(node):
     """node, or the number it evaluates to, with the same bits, if its operands
-    are numbers; a constant outside its domain is an error node instead."""
+    are numbers; a constant outside its domain or not finite is an error
+    node instead."""
     tag = node[0]
     operands = node[2:] if tag in ("bin", "call") else node[1:2]
     if any(x[0] != "num" for x in operands):
         return node
     try:
-        if tag == "call":
-            value = _FUNCTIONS[node[1]](jets.constant(operands[0][1], 0)).value
-        elif tag == "pow":
-            if operands[0][1] == 0.0 and node[2] < 0:   # as a jet base fails
-                raise jets.JetDomainError("division by zero in jet arithmetic")
-            value = np.asarray(operands[0][1]) ** node[2]
-        else:
-            value = _eval(node, None, None)
+        with np.errstate(all="ignore"):     # an overflow becomes an error node
+            if tag == "call":
+                value = _FUNCTIONS[node[1]](jets.constant(operands[0][1], 0)).value
+            elif tag == "pow":
+                if operands[0][1] == 0.0 and node[2] < 0:   # as a jet base fails
+                    raise jets.JetDomainError("division by zero in jet arithmetic")
+                value = np.asarray(operands[0][1]) ** node[2]
+            else:
+                value = _eval(node, None, None)
     except jets.JetDomainError as err:
         return ("err", str(err))
     return _num(float(value))

@@ -11,6 +11,7 @@ handles the payload shapes the CLI produces and nothing else.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -30,6 +31,11 @@ def format_float(x) -> str:
     if not math.isfinite(x):
         raise ReportError(f"non-finite value {x!r} in report payload")
     return format(x, ".17g")
+
+
+# quoted and escaped as JSON, control characters included; one encoder
+# serves every string, where json.dumps would build one per call
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _emit(value, out, indent):
@@ -58,10 +64,7 @@ def _emit(value, out, indent):
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "]")
     elif isinstance(value, str):
-        escaped = (
-            value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        )
-        out.append(f'"{escaped}"')
+        out.append(_json_string(value))
     elif isinstance(value, bool) or isinstance(value, np.bool_):
         out.append("true" if value else "false")
     elif value is None:

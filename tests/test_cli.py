@@ -151,6 +151,10 @@ def test_curve_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="expected 5 coordinate lines"):
         load_curve_file(bad)
 
+    bad.write_text("n=0\n0\n")
+    with pytest.raises(ConfigError, match="n must be >= 1, got 0"):
+        load_curve_file(bad)
+
     bad.write_text("n=1\nsin(t\n0\n0\n")
     with pytest.raises(ConfigError, match="does not parse"):
         load_curve_file(bad)
@@ -232,6 +236,25 @@ def test_analyze_curve_file_matches_builtin(tmp_path, capsys):
     assert from_file == builtin
 
 
+def test_analyze_report_escapes_the_curve_path_as_json(tmp_path, capsys):
+    path = tmp_path / 'tab\there "quoted" \\ \x1f.txt'
+    path.write_text(EXAMPLE_FILE)
+    rc, out, _ = run(["analyze", "--curve", str(path), "--grid", "64"], capsys)
+    assert rc == 0
+    assert json.loads(out)["curve"] == str(path)
+
+
+@pytest.mark.parametrize("command", ["analyze", "scan", "flow"])
+def test_out_into_a_missing_directory_exits_2(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "report.txt"
+    extra = {"analyze": ["--grid", "64"], "scan": ["--case", "II"],
+             "flow": ["--grid", "16", "--steps", "0"]}[command]
+    rc, out, err = run([command, *extra, "--out", str(target)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
 def test_analyze_deterministic_bytes(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
@@ -308,6 +331,13 @@ def test_expression_domain_error_exits_2(capsys, command):
      "log of a non-positive jet value while evaluating 'cos(t)+log(0-1)*0'"),
     ("sin(t)\ncos(t)\n0^(0-1)*0",
      "division by zero in jet arithmetic while evaluating '0^(0-1)*0'"),
+    # a constant that overflows is an error, not an inf or nan in the report
+    ("sin(t)+10^400*0\ncos(t)\n0",
+     "non-finite constant inf while evaluating 'sin(t)+10^400*0'"),
+    ("sin(t)+1e400*0\ncos(t)\n0",
+     "non-finite constant inf while evaluating 'sin(t)+1e400*0'"),
+    ("sin(t)+exp(1000)*0\ncos(t)\n0",
+     "non-finite constant inf while evaluating 'sin(t)+exp(1000)*0'"),
 ])
 def test_constant_domain_error_exits_2(tmp_path, capsys, command, coords, message):
     # a constant subexpression outside its domain names itself, as a

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactcurves import curves, discrete, families
+from contactcurves import analysis, curves, discrete, families
 
 
 def circle_curve(N=256):
@@ -87,6 +87,25 @@ def test_discrete_residual_matches_smooth_values():
     assert near < 0.01
     finer = discrete.max_residual_norm(circle_curve(512), (-8.0, 2.0))
     assert 3.0 < near / finer < 5.0
+
+
+@pytest.mark.parametrize("make", [families.helix, families.r4_curve,
+                                  families.orthogonal_helix, families.circle],
+                         ids=["helix", "r4_curve", "orthogonal_helix", "circle"])
+def test_open_span_residual_converges_at_second_order(make):
+    # the discrete residual on an open span tends to the direct route's at
+    # the inner vertices with observed order 2 (Roache's pairwise order)
+    spec, span, delta = make(), (0.2, 2.6), (0.7, 1.0)
+    errors = []
+    for N in (64, 128, 256, 512):
+        curve = discrete.DiscreteCurve.from_spec(spec, N, span=span)
+        ts = np.linspace(*span, N)
+        smooth = analysis.residual_direct(spec, ts[2:-2], delta=delta).vector
+        errors.append(np.abs(discrete.discrete_residual(curve, delta) - smooth).max())
+    errors = np.array(errors)
+    assert np.all(np.diff(errors) < 0)
+    orders = np.log2(errors[:-1] / errors[1:])
+    assert np.all((1.9 <= orders) & (orders <= 2.1)), orders
 
 
 def _fd_gradient(curve, delta, step=1e-6):

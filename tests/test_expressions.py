@@ -1,6 +1,8 @@
 """Expression grammar, parse errors, domain errors, and the properties of
 the one (jet) evaluation mode."""
 
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +58,8 @@ def test_jet_evaluation_known_derivatives():
 
 
 def test_parse_errors_carry_position():
-    for text, pos in [("2*", 2), ("sin 3", 4), ("(1+2", 4), ("3 $ 4", 2), ("foo(t)", 0)]:
+    for text, pos in [("2*", 2), ("sin 3", 4), ("(1+2", 4), ("3 $ 4", 2), ("foo(t)", 0),
+                      ("t)", 1), ("t t", 2), ("sin(t) 2", 7)]:
         with pytest.raises(ExpressionError) as err:
             parse(text)
         assert err.value.position == pos
@@ -74,8 +77,21 @@ def test_constant_exponent_outside_its_domain_is_a_parse_error():
             parse(text)
     with pytest.raises(ExpressionError, match="exponent is undefined: log of"):
         parse("t^(log(0))")
-    with pytest.raises(ExpressionError, match="must be an integer, got inf"):
+    with pytest.raises(ExpressionError,
+                       match="exponent is undefined: non-finite constant inf"):
         parse("t^(1e400)")
+
+
+@pytest.mark.parametrize("text", ["10^400*0+t", "1e400*0+t", "exp(1000)*0+t",
+                                  "t*(1e308*10)", "atan(1e400)"])
+def test_non_finite_constant_is_an_error_naming_the_expression(text):
+    # folding raises no overflow warning; evaluating names the expression
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = parse(text)
+    with pytest.raises(EvaluationError,
+                       match=f"non-finite constant .* while evaluating '{re.escape(text)}'"):
+        f(0.5)
 
 
 def test_exponent_is_any_constant_with_an_integer_value():
