@@ -197,15 +197,17 @@ def _fold(node):
     if any(x[0] != "num" for x in operands):
         return node
     try:
-        with np.errstate(all="ignore"):     # an overflow becomes an error node
-            if tag == "call":
+        # numpy overflows quietly here: the non-finite result is an error node
+        if tag == "call":
+            with np.errstate(all="ignore"):
                 value = _FUNCTIONS[node[1]](jets.constant(operands[0][1], 0)).value
-            elif tag == "pow":
-                if operands[0][1] == 0.0 and node[2] < 0:   # as a jet base fails
-                    raise jets.JetDomainError("division by zero in jet arithmetic")
+        elif tag == "pow":
+            if operands[0][1] == 0.0 and node[2] < 0:   # as a jet base fails
+                raise jets.JetDomainError("division by zero in jet arithmetic")
+            with np.errstate(all="ignore"):
                 value = np.asarray(operands[0][1]) ** node[2]
-            else:
-                value = _eval(node, None, None)
+        else:
+            value = _eval(node, None, None)     # on Python floats, which never warn
     except jets.JetDomainError as err:
         return ("err", str(err))
     return _num(float(value))
