@@ -32,6 +32,12 @@ under ``analyze`` and ``flow``.  The two division lines were re-recorded
 when a zero divisor began to name its expression, as every other domain
 error does.
 
+Two n = 3 curves pin the paths that only a 7-dimensional model reaches:
+``orthogonal_helix.txt`` (families.orthogonal_helix(), r = 3, case II) and
+``three_circle.txt`` (families.multi_exponential([1/sqrt(3)]*3, [1, 2, 3]),
+r = 7), whose Frenet jets are rebuilt past E5 and whose frame scalars fill
+all four rows E1..E4.  Their z is the closed-form integral of y dx.
+
 Two flow lines pin the descent's other paths: ``--rate 1``, where most
 line-search trials are rejected and the step backtracks, and zero weights,
 where the first step stops with "zero gradient".
@@ -64,8 +70,12 @@ CURVES = {
 }
 # unit-speed Legendre curves pinned by their analyze reports alone: one whose
 # coordinates share trig arguments and repeat subexpressions, one through
-# exp, log, atan, ^ and division
-REPORT_CURVES = ("tests/curves/shared_trig.txt", "tests/curves/elementary.txt")
+# exp, log, atan, ^ and division, and two in the 7-dimensional model: an
+# order-3 helix and an order-7 curve, which rebuilds its Frenet jets past E5
+# and fills all four frame rows E1..E4 of the analysis
+REPORT_CURVES = ("tests/curves/shared_trig.txt", "tests/curves/elementary.txt",
+                 "tests/curves/orthogonal_helix.txt",
+                 "tests/curves/three_circle.txt")
 ANALYZE_VARIANTS = (
     ["--c=0.5"],
     ["--c=1"],
@@ -226,6 +236,14 @@ DIGESTS = {
         '72bf315910916ca1589d00cf2899db8e573bbfaad63f643e696d9411b8568c0f',
     'analyze --curve tests/curves/elementary.txt --grid 256':
         '3dbf5f34975f06e330e4daf485d5e303870287a6ae7b40594757bb78e30215f3',
+    'analyze --curve tests/curves/orthogonal_helix.txt --grid 64':
+        '995ad22b9323fb2d64adee91151226229018bc4efb6087a262dd61234e276b3d',
+    'analyze --curve tests/curves/orthogonal_helix.txt --grid 256':
+        'aac76babe02caaebb23fe1c2a9f9877414398eaa7147f4209f015b6b9ab628bc',
+    'analyze --curve tests/curves/three_circle.txt --grid 64':
+        '4737421c143ec859375d85fa91bcc9bee1e2ec06aaf48b697b2f745621732491',
+    'analyze --curve tests/curves/three_circle.txt --grid 256':
+        '186872c2b71225f50863cac5b88424e41dad2b223caf44415bfe9305396ab859',
     'analyze --curve tests/curves/circle_k1.txt --c=1':
         '4810a2ed4b5b2d55e32819634679c0ecb98d172225cce78ba091a975c042c15e',
     'analyze --curve tests/curves/domain_error.txt':
