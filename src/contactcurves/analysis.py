@@ -136,7 +136,8 @@ class ResidualReport:
     equation_residuals holds the m scalar equations: on the direct route
     the inner products of the residual with E1..E_m, on the closed-form
     route their assembly from the expansion coefficients.  structural
-    carries the six expansion coefficients and is None on the direct route.
+    carries those coefficients, {"E": (4, N) rows for E1..E4, "phiT": (N,),
+    "xi": (N,)}, and is None on the direct route.
     """
 
     vector: np.ndarray                 # (2n+1, N) frame components
@@ -183,12 +184,11 @@ def residual_direct(spec, ts, c=-3.0, delta=(0.0, 1.0)):
 
 
 def _structural_coefficients(frenet, scalars, c, delta):
+    """Expansion coefficients: "E" rows for E1..E4, then "phiT" and "xi"."""
     d1, d2 = float(delta[0]), float(delta[1])
     N = frenet.ts.size
     if frenet.r < 2:
-        zero = np.zeros(N)
-        return {k: zero.copy() for k in
-                ("E1", "E2", "E3", "E4", "phiT", "xi")}
+        return {"E": np.zeros((4, N)), "phiT": np.zeros(N), "xi": np.zeros(N)}
     k1, k1p, k1pp = frenet.curvature_derivs(0, upto=2)
     if frenet.r >= 3:
         k2, k2p = frenet.curvature_derivs(1, upto=1)
@@ -198,41 +198,34 @@ def _structural_coefficients(frenet, scalars, c, delta):
     k3 = frenet.curvatures[2] if frenet.r >= 4 else np.zeros(N)
     q = (c - 1.0) / 4.0
     return {
-        "E1": -3.0 * d2 * k1 * k1p,
-        "E2": d2 * (k1pp - k1 ** 3 - k1 * k2 ** 2 + (c + 3.0) / 4.0 * k1)
-              - d1 * k1,
-        "E3": d2 * (2.0 * k1p * k2 + k1 * k2p),
-        "E4": d2 * k1 * k2 * k3,
+        "E": np.stack([
+            -3.0 * d2 * k1 * k1p,
+            d2 * (k1pp - k1 ** 3 - k1 * k2 ** 2 + (c + 3.0) / 4.0 * k1)
+            - d1 * k1,
+            d2 * (2.0 * k1p * k2 + k1 * k2p),
+            d2 * k1 * k2 * k3,
+        ]),
         "phiT": 3.0 * q * d2 * k1 * scalars.f,
-        "xi": -q * d2 * k1 * scalars.eta_E2,
+        "xi": -q * d2 * k1 * scalars.eta[1],
     }
 
 
 def residual_closed_form(frenet, scalars, c=-3.0, delta=(0.0, 1.0)):
     """The frame expansion of the residual, reassembled into a vector."""
     n = frenet.n
-    N = frenet.ts.size
+    m = frenet.m
     if frenet.r >= 2 and frenet.frames.shape[0] < 2:
         raise AnalysisError("frame data for E2 missing from FrenetData")
     co = _structural_coefficients(frenet, scalars, c, delta)
-    dim = 2 * n + 1
-    vector = np.zeros((dim, N))
-    for i in range(4):
-        if frenet.r > i:
-            vector += co[f"E{i + 1}"][np.newaxis] * frenet.frames[i]
-    vector += co["phiT"][np.newaxis] * scalars.phiT
+    vector = np.zeros((2 * n + 1, frenet.ts.size))
+    for i in range(m):
+        vector += co["E"][i] * frenet.frames[i]
+    vector += co["phiT"] * scalars.phiT
     vector[2 * n] += co["xi"]
 
     # scalar equations: projections of the expansion onto E1..E_m
-    eta = {2: scalars.eta_E2, 3: scalars.eta_E3, 4: scalars.eta_E4}
-    gph = {2: scalars.f, 3: scalars.g_phiT_E3, 4: scalars.g_phiT_E4}
-    eqs = []
-    for i in range(1, frenet.m + 1):
-        e = co[f"E{i}"].copy()
-        if i >= 2:
-            e += co["phiT"] * gph[i] + co["xi"] * eta[i]
-        eqs.append(e)
-    eqs = np.stack(eqs) if eqs else np.zeros((0, N))
+    eqs = co["E"][:m] + (co["phiT"] * scalars.g_phiT[:m]
+                         + co["xi"] * scalars.eta[:m])
     return ResidualReport(vector, eqs, co)
 
 
@@ -331,7 +324,7 @@ def _slant_constants(frenet, scalars, c):
     constancy of f before it calls this.
     """
     f = scalars.f
-    alpha0 = math.atan2(float(np.mean(scalars.g_phiT_E4)), float(np.mean(f)))
+    alpha0 = math.atan2(float(np.mean(scalars.g_phiT[3])), float(np.mean(f)))
     w_samples = f ** 2 * (3.0 * (c - 1.0) / 4.0)
     if frenet.r >= 3:
         w_samples = frenet.curvatures[1] ** 2 + w_samples
@@ -368,7 +361,7 @@ def classify(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
         case = "IV"
         if _is_const(f, tol):
             alpha0, w0, w0_var = _slant_constants(frenet, scalars, c)
-            g4 = float(np.mean(scalars.g_phiT_E4))
+            g4 = float(np.mean(scalars.g_phiT[3]))
             sin_check = abs(math.sin(alpha0) - g4)
             if sin_check > 10 * tol:
                 diagnostics.append(

@@ -175,6 +175,10 @@ def _spread(row):
     return float(np.max(row) - np.min(row))
 
 
+def _peak(row):
+    return float(np.max(np.abs(row)))
+
+
 def cmd_analyze(args):
     _validate_common(args)
     spec, label = _load_spec(args)
@@ -231,11 +235,11 @@ def cmd_analyze(args):
         "scalars": {
             "f_mean": float(np.mean(scalars.f)),
             "f_spread": _spread(scalars.f),
-            "g_phiT_E3_max": float(np.max(np.abs(scalars.g_phiT_E3))),
-            "g_phiT_E4_max": float(np.max(np.abs(scalars.g_phiT_E4))),
-            "eta_E2_max": float(np.max(np.abs(scalars.eta_E2))),
-            "eta_E3_max": float(np.max(np.abs(scalars.eta_E3))),
-            "eta_E4_max": float(np.max(np.abs(scalars.eta_E4))),
+            "g_phiT_E3_max": _peak(scalars.g_phiT[2]),
+            "g_phiT_E4_max": _peak(scalars.g_phiT[3]),
+            "eta_E2_max": _peak(scalars.eta[1]),
+            "eta_E3_max": _peak(scalars.eta[2]),
+            "eta_E4_max": _peak(scalars.eta[3]),
             "offspan_max": float(np.max(scalars.offspan)),
         },
         "classification": {
@@ -298,10 +302,10 @@ def cmd_verify_example(args):
                                    tol=args.tol)
     res_crit = analysis._direct_report(frenet, c, (-8.0, 2.0))
     res_biha = analysis._direct_report(frenet, c, (0.0, 1.0))
-    route_gap = float(np.max(np.abs(thm.report.vector - res_crit.vector)))
+    route_gap = _peak(thm.report.vector - res_crit.vector)
 
-    k1_err = float(np.max(np.abs(frenet.curvatures[0] - 2.0)))
-    f_max = float(np.max(np.abs(scalars.f)))
+    k1_err = _peak(frenet.curvatures[0] - 2.0)
+    f_max = _peak(scalars.f)
     checks = [
         ("osculating order r == 2",
          frenet.r == 2, f"r = {frenet.r}"),

@@ -577,50 +577,34 @@ def frenet_apparatus(spec, ts, tol=1e-7, unit_tol=1e-6):
 class FrameScalars:
     """Pointwise scalars tying phi T and the contact direction to the frame.
 
-    All arrays live on the grid of the FrenetData they came from.  Slots for
-    frames beyond the osculating order are identically zero.
+    g_phiT and eta are (4, N) tables indexed by frame number, as
+    FrenetData.frames is: g_phiT[i] = g(phi T, E_{i+1}) and eta[i] =
+    eta(E_{i+1}).  Row 0 (E_1 = T) and every row at or past the osculating
+    order are identically zero.  All arrays live on the grid of the
+    FrenetData they came from.
     """
 
-    f: np.ndarray              # g(phi T, E_2)
-    g_phiT_E3: np.ndarray
-    g_phiT_E4: np.ndarray
-    eta_E2: np.ndarray
-    eta_E3: np.ndarray
-    eta_E4: np.ndarray
+    g_phiT: np.ndarray         # (4, N)
+    eta: np.ndarray            # (4, N)
     phiT: np.ndarray           # frame coefficients, (2n+1, N)
     offspan: np.ndarray        # |phi T - projection onto E_2..E_m|
 
+    @property
+    def f(self):
+        """f = g(phi T, E_2), the scalar the case analysis turns on."""
+        return self.g_phiT[1]
+
 
 def frame_scalars(frenet):
-    """Scalars g(phi T, E_i) and eta(E_i) for i = 2..4 along the curve."""
-    n = frenet.n
-    N = frenet.ts.size
-    phiT = phi_frame(frenet.frames[0], n)
-
-    def pair(i):
-        if frenet.r >= i:
-            return metric_frame(phiT, frenet.frames[i - 1])
-        return np.zeros(N)
-
-    def eta_of(i):
-        if frenet.r >= i:
-            return eta_frame(frenet.frames[i - 1]).copy()
-        return np.zeros(N)
-
-    f = pair(2)
+    """Scalars g(phi T, E_i) and eta(E_i) for i = 2..m along the curve."""
+    phiT = phi_frame(frenet.frames[0], frenet.n)
+    g_phiT = np.zeros((4, frenet.ts.size))
+    eta = np.zeros_like(g_phiT)
     proj = np.zeros_like(phiT)
-    for i in range(2, frenet.m + 1):
-        proj += pair(i)[np.newaxis] * frenet.frames[i - 1]
+    for i in range(1, frenet.m):
+        e = frenet.frames[i]
+        g_phiT[i] = metric_frame(phiT, e)
+        eta[i] = eta_frame(e)
+        proj += g_phiT[i] * e
     rest = phiT - proj
-    offspan = np.sqrt(metric_frame(rest, rest))
-
-    return FrameScalars(
-        f=f,
-        g_phiT_E3=pair(3),
-        g_phiT_E4=pair(4),
-        eta_E2=eta_of(2),
-        eta_E3=eta_of(3),
-        eta_E4=eta_of(4),
-        phiT=phiT,
-        offspan=offspan,
-    )
+    return FrameScalars(g_phiT, eta, phiT, np.sqrt(metric_frame(rest, rest)))

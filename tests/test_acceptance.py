@@ -157,16 +157,16 @@ def test_criterion_5_legendre_frame_identities():
         assert fr.r >= 3
         sc = frame_scalars(fr)
         k2 = fr.curvatures[1]
-        worst_eta2 = max(worst_eta2, float(np.max(np.abs(sc.eta_E2))))
+        worst_eta2 = max(worst_eta2, float(np.max(np.abs(sc.eta[1]))))
         worst_pair = max(
-            worst_pair, float(np.max(np.abs(k2 * sc.eta_E3 - sc.f)))
+            worst_pair, float(np.max(np.abs(k2 * sc.eta[2] - sc.f)))
         )
         f_jet = model.metric_frame(model.phi_frame(fr.frame_jets[0], spec.n),
                                    fr.frame_jets[1])
         fprime = f_jet.deriv(1)
         worst_fprime = max(
             worst_fprime,
-            float(np.max(np.abs(fprime - k2 * sc.g_phiT_E3))),
+            float(np.max(np.abs(fprime - k2 * sc.g_phiT[2]))),
         )
     ok = worst_eta2 < 1e-6 and worst_pair < 1e-6 and worst_fprime < 1e-6
     _verdict(

@@ -152,9 +152,9 @@ def test_frenet_helix_case(example_curve):
 
     sc = frame_scalars(fr)
     assert np.max(np.abs(np.abs(sc.f) - 1.0)) < 1e-8
-    assert np.max(np.abs(np.abs(sc.eta_E3) - 1.0)) < 1e-8
-    assert np.max(np.abs(sc.g_phiT_E3)) < 1e-8
-    assert np.max(np.abs(sc.eta_E2)) < 1e-10
+    assert np.max(np.abs(np.abs(sc.eta[2]) - 1.0)) < 1e-8
+    assert np.max(np.abs(sc.g_phiT[2])) < 1e-8
+    assert np.max(np.abs(sc.eta[1])) < 1e-10
     assert np.max(sc.offspan) < 1e-7
 
 
@@ -298,10 +298,10 @@ def test_frame_scalars_example(example_curve, example_grid):
     fr = frenet_apparatus(example_curve, example_grid)
     sc = frame_scalars(fr)
     assert np.max(np.abs(sc.f)) < 1e-9
-    assert np.max(np.abs(sc.eta_E2)) < 1e-12
+    assert np.max(np.abs(sc.eta[1])) < 1e-12
     # phi T is horizontal and unit, entirely off the osculating plane here
     assert np.max(np.abs(sc.offspan - 1.0)) < 1e-9
-    bound = sc.f ** 2 + sc.g_phiT_E3 ** 2 + sc.g_phiT_E4 ** 2
+    bound = sc.f ** 2 + sc.g_phiT[2] ** 2 + sc.g_phiT[3] ** 2
     assert np.max(bound) <= 1.0 + 1e-8
     f_jet = metric_frame(phi_frame(fr.frame_jets[0], 2), fr.frame_jets[1])
     assert np.max(np.abs(f_jet.deriv(1))) < 1e-8

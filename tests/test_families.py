@@ -71,9 +71,9 @@ def test_two_exponential_generic_invariants():
         assert np.max(np.abs(fr.curvatures[i] - k)) < 1e-9
     sc = frame_scalars(fr)
     assert np.max(np.abs(sc.f - inv.f)) < 1e-9
-    assert np.max(np.abs(sc.eta_E3 - inv.eta_E3)) < 1e-9
-    assert np.max(np.abs(sc.g_phiT_E4 - inv.g_phiT_E4)) < 1e-9
-    assert np.max(np.abs(sc.eta_E2)) < 1e-10
+    assert np.max(np.abs(sc.eta[2] - inv.eta_E3)) < 1e-9
+    assert np.max(np.abs(sc.g_phiT[3] - inv.g_phiT_E4)) < 1e-9
+    assert np.max(np.abs(sc.eta[1])) < 1e-10
 
 
 @pytest.mark.parametrize("idx", range(len(R4_PARAMS)))
@@ -154,7 +154,7 @@ def test_orthogonal_helix_invariants():
     assert np.abs(fr.curvatures[1] - 1.6).max() < 1e-9
     sc = frame_scalars(fr)
     assert np.abs(sc.f).max() < 1e-12
-    assert np.abs(sc.eta_E3).max() < 1e-12
+    assert np.abs(sc.eta[2]).max() < 1e-12
     with pytest.raises(ValueError, match="positive"):
         orthogonal_helix(-1.0, 2.0)
 
