@@ -106,14 +106,12 @@ def _bitension_parts(n, T, c):
 
 def tension(spec, ts):
     """nabla_T T along the curve, in frame components, shape (2n+1, N)."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
     _, tau = _direct_jets(spec.n, _curve_frames(spec, ts, 2)[2], depth=1)
     return tau.value
 
 
 def bitension(spec, ts, c=-3.0):
     """nabla_T^3 T - R(T, nabla_T T)T in frame components, shape (2n+1, N)."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
     return _bitension_parts(spec.n, _curve_frames(spec, ts, 4)[2], c)[1]
 
 
@@ -126,7 +124,7 @@ def _span_leakage(vec, frames_m):
     rem = vec.copy()
     for e in frames_m:
         rem -= metric_frame(vec, e)[np.newaxis] * e
-    return np.sqrt(np.maximum(metric_frame(rem, rem), 0.0))
+    return np.sqrt(metric_frame(rem, rem))
 
 
 @dataclass
@@ -494,8 +492,8 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
     rho_t = pure.equation_residuals[1] / k1
     tau_vec = k1[np.newaxis] * frenet.frames[1]
     defect_vec = pure.vector - rho_t[np.newaxis] * tau_vec
-    parallel_defect = float(np.max(np.sqrt(np.maximum(
-        metric_frame(defect_vec, defect_vec), 0.0))))
+    parallel_defect = float(np.max(np.sqrt(
+        metric_frame(defect_vec, defect_vec))))
     rho_spread = float(np.ptp(rho_t))
 
     notes = []

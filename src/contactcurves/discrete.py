@@ -162,7 +162,7 @@ class DiscreteCurve:
     def validate(self, tol=1e-3):
         """Check the polyline invariants; returns the max chord defect."""
         defect = self.max_defect()
-        if defect >= tol:
+        if not defect < tol:
             raise DiscreteCurveError(
                 f"chord Legendre defect {defect:.3e} exceeds tolerance {tol:.3e}"
             )

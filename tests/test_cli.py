@@ -348,6 +348,27 @@ def test_constant_domain_error_exits_2(tmp_path, capsys, command, coords, messag
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, message", [
+    (["analyze"], "error: curve is not Legendre: max |eta(T)| = nan exceeds "),
+    (["flow", "--steps", "1"], "error: chord Legendre defect nan exceeds "),
+], ids=["analyze", "flow"])
+@pytest.mark.parametrize("coords", [
+    "n=1\nsin(t)+exp(1000*t)-exp(1000*t)\ncos(t)\n0",
+    "n=2\nsin(2*t)+exp(1000*t)-exp(1000*t)\n-cos(2*t)\n0\n0\n1",
+], ids=["n1", "n2"])
+def test_nan_curve_fails_admission_exits_2(tmp_path, capsys, command, message,
+                                           coords):
+    # exp(1000*t) overflows to inf on the grid and inf - inf is nan; nan
+    # compares false with every bound, so each admission test is written to
+    # fail on it instead of letting it through to a traceback or the payload
+    path = tmp_path / "nan.txt"
+    path.write_text(coords + "\n")
+    rc, out, err = run([*command, "--curve", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_analyze_loose_tol_accepts_near_unit_speed(tmp_path, capsys):
     # speed deviates by 1e-5, inside --tol 1e-4; every stage must use that
     # tolerance, not a fixed default of its own
