@@ -456,7 +456,9 @@ def _add_common(sub, curve=True):
     sub.add_argument("--grid", type=int, default=256,
                      help="number of parameter samples (default 256, min 16)")
     sub.add_argument("--tol", type=float, default=1e-6,
-                     help="tolerance for rank/constancy decisions (default 1e-6)")
+                     help="tolerance for rank/constancy decisions (default "
+                          "1e-6); flow reads it only as its chord-defect "
+                          "admission bound, and never below 1e-3")
     sub.add_argument("--out", default=None,
                      help="output file (default: stdout)")
 

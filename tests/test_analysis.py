@@ -372,6 +372,22 @@ def test_classify_flags_nonconstant_f():
     assert cls.diagnostics
 
 
+def test_classify_notes_g4_off_sin_alpha0():
+    # f = 0.6 and g(phi T, E4) = 0.48 are constant, but f^2 + g4^2 != 1:
+    # phi T = beta1 leaves span{E2, E4}, so g4 != sin(atan2(g4, f))
+    e = np.eye(5)
+    fr = synthetic_frenet(
+        [1.0, 1.5, 1.0],
+        [e[0], 0.6 * e[2] + 0.8 * e[1], e[3],
+         0.48 * e[2] - 0.36 * e[1] + 0.8 * e[4]],
+    )
+    cls = analysis.classify(fr, curves.frame_scalars(fr))
+    gap = math.sin(math.atan2(0.48, 0.6)) - 0.48      # 0.1447
+    assert (cls.klass, cls.case) == ("general", "IV")
+    assert cls.diagnostics == [
+        f"g(phi T, E4) deviates from sin(alpha0) by {gap:.2e}"]
+
+
 # ---------------------------------------------------------------------------
 # solving for the coupling pair
 
@@ -419,6 +435,26 @@ def test_solve_case3_helix():
     assert sol.k2_deviation < 1e-9
     assert sol.feasible
     assert analysis.theorem31_check(fr, sc, delta=sol.delta).passed
+
+
+def test_solve_case3_notes_k2_and_ratio_gap():
+    # T = alpha1, E2 = beta1 = phi T, E3 = xi: f = 1 is case III, whose
+    # constraint wants k2 = 1.  At k1 = 1.5, k2 = 0.5 and c = -3 the case
+    # formula gives rho = c - 1 - k1^2 = -6.25, while the pointwise ratio
+    # is (-k1^3 - k1 k2^2 - 3 k1) / k1 = -5.5 (hand values)
+    e = np.eye(3)
+    fr = synthetic_frenet([1.5, 0.5], [e[0], e[1], e[2]], n=1)
+    sol = analysis.solve_delta(fr, curves.frame_scalars(fr))
+    assert (sol.classification.klass, sol.classification.case) == (
+        "helix", "III")
+    assert sol.rho == -6.25
+    assert np.allclose(sol.rho_pointwise, -5.5, rtol=0.0, atol=1e-12)
+    assert sol.k2_deviation == 0.5
+    assert sol.notes == [
+        "second curvature deviates from 1 by 5.000e-01, in tension with "
+        "this case's constraint",
+        "case formula and pointwise ratio disagree by 7.500e-01",
+    ]
 
 
 def test_solve_case4_infeasible():
