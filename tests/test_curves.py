@@ -301,6 +301,8 @@ def test_frame_scalars_example(example_curve, example_grid):
     assert np.max(np.abs(sc.eta[1])) < 1e-12
     # phi T is horizontal and unit, entirely off the osculating plane here
     assert np.max(np.abs(sc.offspan - 1.0)) < 1e-9
+    # rows are indexed by frame number: E1 and the rows past r = 2 are zero
+    assert not sc.g_phiT[[0, 2, 3]].any() and not sc.eta[[0, 2, 3]].any()
     bound = sc.f ** 2 + sc.g_phiT[2] ** 2 + sc.g_phiT[3] ** 2
     assert np.max(bound) <= 1.0 + 1e-8
     f_jet = metric_frame(phi_frame(fr.frame_jets[0], 2), fr.frame_jets[1])
