@@ -19,6 +19,10 @@ Reports go to stdout unless ``--out`` names a file; they contain no
 timestamps and all floats are printed with 17 significant digits, so a
 rerun with the same arguments is byte-identical.
 
+``main(argv)`` may be called any number of times in one process.  Every
+call reuses one argument parser, built on the first call, and its exit code
+and output depend only on argv and the files it reads.
+
 Curve files are plain text: a header line ``n=<int>``, then one coordinate
 expression of t per line (x_1..x_n, y_1..y_n, z).  Blank lines are skipped
 and ``#`` starts a comment.
@@ -27,6 +31,7 @@ and ``#`` starts a comment.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -496,39 +501,30 @@ def _add_flow(subs):
     p.set_defaults(func=cmd_flow)
 
 
-def build_parser(command=None):
-    """The argument parser, with only command's subparser if command is one.
+@functools.cache
+def build_parser():
+    """The argument parser with all four subparsers, built on first use.
 
-    Each add_argument call asks for the terminal size, so a command line
-    that names its subcommand gets only that subparser.  Its usage line
-    still lists every subcommand; anything else (no argument, -h, a typo)
-    gets all four, so help and error text read the same either way.
+    argparse asks for the terminal size and looks up message translations
+    for each add_argument call, so the build takes most of a millisecond;
+    every later main call reuses it.  parse_args writes only the namespace
+    it returns, never the parser, so sharing it carries no state from one
+    command line to the next.
     """
-    adders = {
-        "analyze": _add_analyze,
-        "verify-example": _add_verify_example,
-        "scan": _add_scan,
-        "flow": _add_flow,
-    }
     parser = argparse.ArgumentParser(
         prog="contactcurves",
         description="Legendre curve analysis in Sasakian space forms",
     )
-    if command in adders:
-        subs = parser.add_subparsers(dest="command", required=True,
-                                     metavar="{" + ",".join(adders) + "}")
-        adders[command](subs)
-    else:
-        subs = parser.add_subparsers(dest="command", required=True)
-        for add in adders.values():
-            add(subs)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for add in (_add_analyze, _add_verify_example, _add_scan, _add_flow):
+        add(subs)
     return parser
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, CurveError, EvaluationError, discrete.DiscreteCurveError,

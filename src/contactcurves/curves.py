@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .expressions import Expr, parse
+from .expressions import EvaluationError, Expr, parse
 from .model import eta_frame, gamma_frame, metric_frame, phi_frame, to_frame
 
 __all__ = [
@@ -283,12 +283,40 @@ def sample_grid(spec, m):
 # jet evaluation
 
 
+def _reject_non_finite(spec, ts, *blocks):
+    """Raise EvaluationError unless every coefficient in blocks is finite.
+
+    Each block pairs the index of its first coordinate with coefficients of
+    shape (K, rows, N), so one np.isfinite covers a whole pass.  The error
+    names the first coordinate, in spec order, with a non-finite
+    coefficient, and the first t where it has one.
+    """
+    if all(np.isfinite(coeffs).all() for _, coeffs in blocks):
+        return
+    bad = np.zeros((spec.dim, ts.size), dtype=bool)
+    for first, coeffs in blocks:
+        rows = coeffs.shape[1]
+        bad[first:first + rows] |= ~np.isfinite(coeffs).all(axis=0).reshape(rows, -1)
+    i, j = np.argwhere(bad)[0]
+    raise EvaluationError(
+        f"non-finite value at t={float(ts.flat[j])} while evaluating "
+        f"{spec.coords[i].text!r}"
+    )
+
+
 def coordinate_jets(spec, ts, order=6):
-    """Jet of all coordinates along the curve; value shape (2n+1, N)."""
+    """Jet of all coordinates along the curve; value shape (2n+1, N).
+
+    A coefficient that overflows, or turns into nan, raises EvaluationError
+    naming its coordinate instead of reaching the caller.
+    """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     t = jets.variable(ts, order)
     shared = {}
-    return jets.stack([c.evaluate(t, shared) for c in spec.coords], axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = jets.stack([c.evaluate(t, shared) for c in spec.coords], axis=0)
+    _reject_non_finite(spec, ts, (0, out.coeffs))
+    return out
 
 
 def _velocity_jets(spec, ts, order):
@@ -299,23 +327,28 @@ def _velocity_jets(spec, ts, order):
     an integral coordinate outside the y slots gives them from its
     integrand and is never integrated.  All coordinates share one scope
     that lives for this call, so each distinct function call is computed
-    once and the z tail reads the x and y jets already built.
+    once and the z tail reads the x and y jets already built.  A non-finite
+    velocity or y value raises EvaluationError, as in coordinate_jets.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = spec.n
     t = jets.variable(ts, order)
     shared = {}
     tails, ys = [], []
-    for i, c in enumerate(spec.coords):
-        if isinstance(c, IntegralCoordinate) and not n <= i < 2 * n:
-            tails.append(c._taylor_tail(t, shared))
-            continue
-        j = c.evaluate(t, shared)
-        tails.append(j.coeffs[1:])
-        if n <= i < 2 * n:
-            ys.append(j)
     k = np.arange(1, order + 1, dtype=float)[:, np.newaxis, np.newaxis]
-    return jets.Jet(np.stack(tails, axis=1) * k), jets.stack(ys, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, c in enumerate(spec.coords):
+            if isinstance(c, IntegralCoordinate) and not n <= i < 2 * n:
+                tails.append(c._taylor_tail(t, shared))
+                continue
+            j = c.evaluate(t, shared)
+            tails.append(j.coeffs[1:])
+            if n <= i < 2 * n:
+                ys.append(j)
+        v = np.stack(tails, axis=1) * k
+    y = jets.stack(ys, axis=0)
+    _reject_non_finite(spec, ts, (0, v), (n, y.coeffs[:1]))
+    return jets.Jet(v), y
 
 
 def velocity(spec, t):

@@ -293,6 +293,14 @@ def test_cli_bytes_unchanged(argv, monkeypatch):
     assert digest(argv) == DIGESTS[" ".join(argv)]
 
 
+def test_cli_bytes_unchanged_after_every_other_line(monkeypatch):
+    # main reuses one parser across calls; all lines in one process, in
+    # reverse order, must give the digests each gives on its own
+    monkeypatch.chdir(ROOT)
+    for argv in reversed(_argvs()):
+        assert digest(argv) == DIGESTS[" ".join(argv)], " ".join(argv)
+
+
 def test_verify_example_weight_flags_exit_2(capsys):
     # verify-example checks the fixed weights (-8, 2) and (0, 1) and has no
     # weight flags; argparse exits 2 before any output

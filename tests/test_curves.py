@@ -179,6 +179,57 @@ def test_frenet_checks_legendre_before_speed():
         frenet_apparatus(spec, np.linspace(0.0, 1.0, 32))
 
 
+@pytest.mark.parametrize("row, message", [
+    (4, "curve is not Legendre: max |eta(T)| = nan exceeds"),
+    (2, "curve is not unit speed: max speed deviation = nan exceeds"),
+], ids=["z", "y"])
+def test_frenet_admission_rejects_nan(example_curve, monkeypatch, row, message):
+    # the jet pass rejects non-finite values itself; a nan that reaches the
+    # admission tests anyway fails them, since nan compares false with any
+    # bound.  A nan z velocity leaves no finite defect, a nan y velocity
+    # leaves the defect finite and the speed nan.
+    original = curves._velocity_jets
+
+    def with_nan(spec, ts, order):
+        v, y = original(spec, ts, order)
+        v.coeffs[0, row, 3] = np.nan
+        return v, y
+
+    monkeypatch.setattr(curves, "_velocity_jets", with_nan)
+    with pytest.raises(CurveError, match=re.escape(message)):
+        frenet_apparatus(example_curve, sample_grid(example_curve, 64))
+
+
+def test_legendre_defect_shape_follows_t(example_curve, example_grid):
+    defects = legendre_defect(example_curve, example_grid)
+    assert isinstance(defects, np.ndarray)
+    assert defects.shape == example_grid.shape
+    one = legendre_defect(example_curve, 0.5)
+    assert type(one) is float
+    assert one == legendre_defect(example_curve, np.array([0.5]))[0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coords, text, t", [
+    # exp(-800 t) exp(800 t) is 1 in exact arithmetic, inf * 0 past t = 0.887
+    (["sin(t)+exp(-800*t)*exp(800*t)-1", "cos(t)", "0"],
+     "sin(t)+exp(-800*t)*exp(800*t)-1", 0.9375),
+    # the first coordinate in spec order is named, not the first t
+    (["sin(t)+exp(1000*t)*0", "cos(t)+exp(2000*t)*0", "0"],
+     "sin(t)+exp(1000*t)*0", 0.75),
+    # a y value that overflows while its derivative stays finite
+    (["sin(t)", "1e308*t+1e308", "0"], "1e308*t+1e308", 0.8125),
+], ids=["cancelling", "first-coordinate", "y-value"])
+def test_overflow_is_named_by_its_coordinate(coords, text, t):
+    spec = CurveSpec(1, coords)
+    ts = np.linspace(0.0, 1.0, 17)
+    message = re.escape(f"non-finite value at t={t} while evaluating {text!r}")
+    with pytest.raises(EvaluationError, match=message):
+        curves._velocity_jets(spec, ts, 1)
+    with pytest.raises(EvaluationError, match=message):
+        coordinate_jets(spec, ts, order=0)
+
+
 @pytest.mark.parametrize("grid", [64, 256])
 @pytest.mark.parametrize("spec", [
     pytest.param(CurveSpec(2, ["sin(2*t)", "-cos(2*t)", "0", "0", "1"]),

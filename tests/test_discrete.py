@@ -66,6 +66,30 @@ def test_curve_validation():
         moved(dc, points).validate(tol=1e-3)
 
 
+def test_five_samples_are_enough():
+    spec = curves.CurveSpec(2, ["sin(2*t)", "-cos(2*t)", "0", "0", "1"])
+    h = 2 * np.pi / 5
+    dc = discrete.DiscreteCurve(spec.point(h * np.arange(5)), 2, h)
+    assert dc.N == 5
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, np.nan])
+def test_spacing_must_be_positive(h):
+    with pytest.raises(discrete.DiscreteCurveError,
+                       match="spacing must be positive"):
+        discrete.DiscreteCurve(circle_curve(32).points, 2, h)
+
+
+def test_validate_rejects_a_nan_chord_defect():
+    # nan compares false with any bound, so the test is written to fail on it
+    dc = circle_curve(32)
+    points = dc.points.copy()
+    points[4, 7] = np.nan
+    with pytest.raises(discrete.DiscreteCurveError,
+                       match="chord Legendre defect nan exceeds"):
+        moved(dc, points).validate(tol=1e-3)
+
+
 def test_points_are_a_read_only_copy():
     raw = circle_curve(32).points.copy()
     dc = discrete.DiscreteCurve(raw, 2, 0.1)
