@@ -84,30 +84,22 @@ class AnalysisError(ValueError):
 # direct route
 
 
-def _direct_jets(n, T, depth=3):
-    """T and its iterated covariant derivatives nabla_T^k T, k = 1..depth.
-
-    Each derivative costs one order and callers read only values, so T is
-    cut to order depth first; truncation leaves every value unchanged.
-    """
-    T = T.truncate(depth)
-    out = [T]
-    for _ in range(depth):
-        out.append(_nabla_along(n, T, out[-1]))
-    return out
-
-
 def _bitension_parts(n, T, c):
-    """Values of tau = nabla_T T and tau2 = nabla_T^3 T - R(T, tau)T."""
-    T, tau, _, tau_3 = _direct_jets(n, T)
+    """Values of tau = nabla_T T and tau2 = nabla_T^3 T - R(T, tau)T.
+
+    Each covariant derivative costs one order and only values are read,
+    so T is cut to order 3 first; truncation leaves every value unchanged.
+    """
+    T = T.truncate(3)
+    tau = _nabla_along(n, T, T)
+    tau_3 = _nabla_along(n, T, _nabla_along(n, T, tau))
     curv = space_form_curvature_frame(c, T.value, tau.value, T.value, n)
     return tau.value, tau_3.value - curv
 
 
 def tension(spec, ts):
     """nabla_T T along the curve, in frame components, shape (2n+1, N)."""
-    _, tau = _direct_jets(spec.n, _curve_frames(spec, ts, 2)[2], depth=1)
-    return tau.value
+    return _bitension_parts(spec.n, _curve_frames(spec, ts, 4)[2], -3.0)[0]
 
 
 def bitension(spec, ts, c=-3.0):
@@ -154,27 +146,30 @@ class ResidualReport:
         return [float(np.max(np.abs(row))) for row in self.equation_residuals]
 
 
-def _direct_report(frenet, c, delta):
+def _direct_reports(frenet, c, deltas):
     """The direct route on Frenet data the caller already built.
 
+    One report per weight pair in deltas, all weighting one tau and tau2.
     Only the velocity jet frenet.frame_jets[0] and the frames enter the
     residual vector: the curvatures and their jets belong to the
     closed-form route and are never read here, which keeps the two routes
     independent.
     """
-    d1, d2 = float(delta[0]), float(delta[1])
     tau, tau2 = _bitension_parts(frenet.n, frenet.frame_jets[0], c)
-    vector = d2 * tau2 - d1 * tau
-    eqs = np.stack([
-        metric_frame(vector, frenet.frames[i])
-        for i in range(frenet.m)
-    ])
-    return ResidualReport(vector, eqs)
+    reports = []
+    for d1, d2 in deltas:
+        vector = float(d2) * tau2 - float(d1) * tau
+        eqs = np.stack([
+            metric_frame(vector, frenet.frames[i])
+            for i in range(frenet.m)
+        ])
+        reports.append(ResidualReport(vector, eqs))
+    return reports
 
 
 def residual_direct(spec, ts, c=-3.0, delta=(0.0, 1.0)):
     """d2 * bitension - d1 * tension by covariant calculus, decomposed."""
-    return _direct_report(frenet_apparatus(spec, ts), c, delta)
+    return _direct_reports(frenet_apparatus(spec, ts), c, [delta])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ def cmd_analyze(args):
 
     frenet = frenet_apparatus(spec, ts, tol=args.tol, unit_tol=args.tol)
     scalars = frame_scalars(frenet)
-    res = analysis._direct_report(frenet, args.c, delta)
+    res, = analysis._direct_reports(frenet, args.c, [delta])
     thm = analysis.theorem31_check(frenet, scalars, args.c, delta, tol=args.tol)
     sol = analysis.solve_delta(frenet, scalars, args.c, tol=args.tol)
     cls = sol.classification
@@ -305,8 +305,8 @@ def cmd_verify_example(args):
     cls = sol.classification
     thm = analysis.theorem31_check(frenet, scalars, c, (-8.0, 2.0),
                                    tol=args.tol)
-    res_crit = analysis._direct_report(frenet, c, (-8.0, 2.0))
-    res_biha = analysis._direct_report(frenet, c, (0.0, 1.0))
+    res_crit, res_biha = analysis._direct_reports(
+        frenet, c, [(-8.0, 2.0), (0.0, 1.0)])
     route_gap = _peak(thm.report.vector - res_crit.vector)
 
     k1_err = _peak(frenet.curvatures[0] - 2.0)
@@ -407,7 +407,7 @@ def cmd_scan(args):
         alpha_col,
         rho_col,
         constraint_col,
-        feasible,
+        reporting.Indexed((False, True), feasible.astype(np.intp)),
         reporting.Indexed(analysis.VERDICTS, verdict),
     ]
     _write_output(reporting.to_csv(header, columns), args.out)
@@ -433,7 +433,7 @@ def cmd_flow(args):
         steps=args.steps, rate=args.rate, c=args.c,
     )
     header = ["step", "energy", "max_defect", "analyzer_residual"]
-    columns = [[getattr(row, name) for row in result.rows] for name in header]
+    columns = [np.array([getattr(r, name) for r in result.rows]) for name in header]
     text = reporting.to_csv(header, columns)
     if result.stopped:
         text += f"# stopped: {result.diagnostic}\n"

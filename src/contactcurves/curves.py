@@ -304,7 +304,7 @@ def _reject_non_finite(spec, ts, *blocks):
     )
 
 
-def coordinate_jets(spec, ts, order=6):
+def coordinate_jets(spec, ts, order):
     """Jet of all coordinates along the curve; value shape (2n+1, N).
 
     A coefficient that overflows, or turns into nan, raises EvaluationError
@@ -427,8 +427,8 @@ def _arclength_report(ts, v, y, n):
     Legendre curve's speed is its scaled horizontal speed.
     """
     defect = eta_frame(to_frame(v, y, n))
-    horiz = 0.25 * np.sum(v[:2 * n] ** 2, axis=0)
-    speed = np.sqrt(defect ** 2 + horiz)
+    with np.errstate(over="ignore"):    # an inf speed fails admission by name
+        speed = np.sqrt(defect ** 2 + 0.25 * np.sum(v[:2 * n] ** 2, axis=0))
     return ArclengthReport(
         ts=ts,
         speeds=speed,

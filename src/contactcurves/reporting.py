@@ -5,12 +5,14 @@ shortest round-tripping string and therefore varies in width.  Reports
 here must be byte-identical across runs and easy to diff, so floats are
 always written with 17 significant digits and a lowercase exponent, which
 also round-trips exactly.  The serializer below is deliberately tiny: it
-handles the payload shapes the CLI produces and nothing else.
+handles the payload shapes the CLI produces and nothing else.  A CSV column
+is an array with one cell per row or an Indexed table; a float array is
+formatted as floats and anything else as labels (str, bool or int), and a
+cell is empty only where an index is -1.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -85,19 +87,16 @@ def to_json(payload) -> str:
     return "".join(out)
 
 
-def _cell(value) -> str:
+def _label(value) -> str:
+    """A label cell's text: a str (quoted where CSV needs it), bool or int."""
     if isinstance(value, str):
         if "," in value or "\n" in value or '"' in value:
             return '"' + value.replace('"', '""') + '"'
         return value
-    if isinstance(value, bool) or isinstance(value, np.bool_):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if value is None:
-        return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
     raise ReportError(f"cannot serialize {type(value).__name__} in a CSV cell")
 
 
@@ -114,44 +113,37 @@ class Indexed(NamedTuple):
 def _format_column(values):
     """The cells of a column as strings, and a mask of the finite values.
 
-    A float array is checked with one np.isfinite and formatted with one
-    "%.17g" map (the same text as format_float); the mask is None when all
-    values are finite.  The cells of non-finite values are never written:
-    _cell_columns raises for the first one in row order.
+    A float array takes one np.isfinite and one "%.17g" map (the text of
+    format_float); its mask is None when all values are finite, as it is
+    for labels.  _cell_columns raises for the first non-finite cell.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         finite = np.isfinite(values)
         cells = list(map("%.17g".__mod__, values.tolist()))
         return cells, None if finite.all() else finite
-    if isinstance(values, np.ndarray) and values.dtype.kind == "b":
-        return ["true" if v else "false" for v in values.tolist()], None
-    finite = [not isinstance(v, (float, np.floating)) or math.isfinite(v)
-              for v in values]
-    cells = [_cell(v) if ok else "" for v, ok in zip(values, finite)]
-    return cells, None if all(finite) else np.array(finite, dtype=bool)
+    return list(map(_label, values)), None
 
 
 def _cell_columns(header, columns):
     """Each column of cells as a list of strings, one per row."""
     if len(columns) != len(header):
-        raise ReportError(
-            f"CSV has {len(columns)} columns of cells, header has "
-            f"{len(header)} cells"
-        )
+        raise ReportError(f"CSV has {len(columns)} columns of cells, "
+                          f"header has {len(header)} cells")
+    formatted = {}              # id(values) -> _format_column(values)
     cell_columns = []
     first_bad = None            # (row, value) of the first non-finite cell
     for name, column in zip(header, columns):
         values, index = column if isinstance(column, Indexed) else (column, None)
-        cells, finite = _format_column(values)
+        if id(values) not in formatted:
+            formatted[id(values)] = _format_column(values)
+        cells, finite = formatted[id(values)]
         if index is not None:
             cells = np.array(cells + [""], dtype=object)[index].tolist()
             if finite is not None:
                 finite = np.append(finite, True)[index]
         if cell_columns and len(cells) != len(cell_columns[0]):
-            raise ReportError(
-                f"CSV column {name!r} has {len(cells)} cells, column "
-                f"{header[0]!r} has {len(cell_columns[0])}"
-            )
+            raise ReportError(f"CSV column {name!r} has {len(cells)} cells, "
+                              f"column {header[0]!r} has {len(cell_columns[0])}")
         cell_columns.append(cells)
         if finite is not None and not finite.all():
             row = int(np.argmin(finite))
@@ -166,16 +158,11 @@ def _cell_columns(header, columns):
 def to_csv(header, columns) -> str:
     """CSV text with a header line and the same float format as to_json.
 
-    columns holds one entry per header name: a sequence of cells, one per
-    row, or an Indexed column.  Cells are str, bool, None (empty), int or
-    float; a float array is formatted as a whole.  A non-finite float in a
-    written cell raises ReportError naming the first one in row order.
+    columns holds one entry per header name: an array with one cell per
+    row, or an Indexed table.  A float array is formatted as floats and
+    anything else as labels (str, bool or int); a cell is empty only where
+    an index is -1.  A non-finite float in a written cell raises
+    ReportError naming the first one in row order.
     """
-    # rows are joined in blocks, so only one block of row strings is alive
-    # at a time, and zip frees each column list once it has run through it
-    lines = map(",".join, zip(*_cell_columns(header, columns)))
-    blocks = [",".join(header)]
-    while chunk := list(itertools.islice(lines, 4096)):
-        blocks.append("\n".join(chunk))
-    blocks.append("")
-    return "\n".join(blocks)
+    rows = map(",".join, zip(*_cell_columns(header, columns)))
+    return "\n".join([",".join(header), *rows, ""])

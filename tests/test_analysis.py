@@ -111,12 +111,11 @@ def test_bitension_tangential_component_tracks_curvature_slope():
     pytest.param(families.r4_curve(0), id="r4_curve"),
 ])
 def test_tension_and_bitension_match_longer_jets(spec):
-    # tension reads T to order 1 and bitension to order 3, so jets of
-    # order 2 and 4 give the bits that order 3 and 6 gave
+    # tension and bitension read T to order 3, so jets of order 4 give the
+    # bits that order 6 gives; tension's value needs T to order 1 only
     ts = grid(spec, 96)
-    T3 = curves._curve_frames(spec, ts, 3)[2]
     T6 = curves._curve_frames(spec, ts, 6)[2]
-    tau = analysis._direct_jets(spec.n, T3, depth=1)[1].value
+    tau = curves._nabla_along(spec.n, T6, T6).value
     got = analysis.tension(spec, ts)
     assert np.array_equal(got, tau)
     assert np.array_equal(np.signbit(got), np.signbit(tau))
@@ -221,7 +220,7 @@ def test_direct_report_reuses_caller_frenet_data(spec):
     c, delta = 0.5, (0.7, 1.3)
     fr, sc = frenet_pair(spec, ts, tol=1e-6, unit_tol=1e-5)
     standalone = analysis.residual_direct(spec, ts, c, delta)
-    shared = analysis._direct_report(fr, c, delta)
+    shared, = analysis._direct_reports(fr, c, [delta])
     assert np.array_equal(shared.vector, standalone.vector)
     assert np.array_equal(shared.equation_residuals,
                           standalone.equation_residuals)
@@ -229,8 +228,26 @@ def test_direct_report_reuses_caller_frenet_data(spec):
         fr, curvatures=np.full_like(fr.curvatures, np.nan), curvature_jets=[]
     )
     assert np.array_equal(
-        analysis._direct_report(blind, c, delta).vector, standalone.vector
+        analysis._direct_reports(blind, c, [delta])[0].vector, standalone.vector
     )
+
+
+def test_residual_weights_default_to_bending_alone(example_curve):
+    # delta defaults to (0, 1) on both routes and in the theorem check;
+    # the circle's bitension has norm 8, so any other weight shows
+    ts = grid(example_curve, 64)
+    fr, sc = frenet_pair(example_curve, ts)
+    bending = (0.0, 1.0)
+    for default, explicit in (
+        (analysis.residual_direct(example_curve, ts),
+         analysis.residual_direct(example_curve, ts, -3.0, bending)),
+        (analysis.residual_closed_form(fr, sc),
+         analysis.residual_closed_form(fr, sc, -3.0, bending)),
+        (analysis.theorem31_check(fr, sc).report,
+         analysis.theorem31_check(fr, sc, -3.0, bending).report),
+    ):
+        assert default.max_norm == pytest.approx(8.0)
+        assert np.array_equal(default.vector, explicit.vector)
 
 
 def test_residual_xi_coefficient_vanishes():

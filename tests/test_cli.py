@@ -79,42 +79,55 @@ def test_json_rejects_unknown_types():
 def test_csv_quoting_and_width():
     text = reporting.to_csv(
         ["a", "b", "c"],
-        [[1, 2], ["plain", "needs, quoting"], [0.5, None]],
+        [np.array([1, 2]), np.array(["plain", "needs, quoting"]),
+         reporting.Indexed(['say "hi"', "two\nlines"], np.array([0, 1]))],
     )
-    lines = text.splitlines()
-    assert lines[0] == "a,b,c"
-    assert lines[1] == "1,plain,0.5"
-    assert lines[2] == '2,"needs, quoting",'
-    with pytest.raises(reporting.ReportError, match="cells"):
-        reporting.to_csv(["a", "b"], [[1]])
-    with pytest.raises(reporting.ReportError, match="cells"):
-        reporting.to_csv(["a", "b"], [[1, 2], [3]])
+    assert text == (
+        'a,b,c\n'
+        '1,plain,"say ""hi"""\n'
+        '2,"needs, quoting","two\nlines"\n'
+    )
+    with pytest.raises(reporting.ReportError, match="columns of cells"):
+        reporting.to_csv(["a", "b"], [np.array([1])])
+    with pytest.raises(reporting.ReportError, match="column 'b' has 1 cells"):
+        reporting.to_csv(["a", "b"], [np.array([1, 2]), np.array([3])])
 
 
 def test_csv_indexed_and_array_columns():
+    shared = np.array([0.25, -0.0])
     text = reporting.to_csv(
-        ["k", "x", "ok", "v"],
+        ["k", "x", "ok", "v", "n", "s"],
         [
             reporting.Indexed(np.array([0.1, -0.0]), np.array([1, -1, 0])),
             np.array([1e-300, 2.0 / 3.0, 5e-324]),
             np.array([True, False, True]),
-            reporting.Indexed(["a,b", None], np.array([0, 1, 0])),
+            reporting.Indexed(("a,b", False, 7), np.array([0, 1, 2])),
+            reporting.Indexed(shared, np.array([0, 1, -1])),
+            reporting.Indexed(shared, np.array([-1, 0, 1])),
         ],
     )
     assert text == (
-        "k,x,ok,v\n"
-        "-0,1e-300,true,\"a,b\"\n"
-        ",0.66666666666666663,false,\n"
-        "0.10000000000000001,4.9406564584124654e-324,true,\"a,b\"\n"
+        "k,x,ok,v,n,s\n"
+        "-0,1e-300,true,\"a,b\",0.25,\n"
+        ",0.66666666666666663,false,false,-0,0.25\n"
+        "0.10000000000000001,4.9406564584124654e-324,true,7,,-0\n"
     )
     assert reporting.to_csv(["a"], [np.zeros(0)]) == "a\n"
+
+
+def test_csv_floats_are_arrays_and_cells_are_never_none():
+    # a float cell is written only from a float array; a list of floats
+    # and a None cell are refused as labels
+    for values in ([0.5, 1.5], [None, 1]):
+        with pytest.raises(reporting.ReportError, match="in a CSV cell"):
+            reporting.to_csv(["a"], [values])
 
 
 def test_csv_names_the_first_non_finite_cell_in_row_order():
     columns = [
         reporting.Indexed(np.array([np.inf, 1.0]), np.array([-1, 1, 0])),
         np.array([1.0, np.nan, -np.inf]),
-        [2.0, float("-inf"), 3.0],
+        np.array([2.0, -np.inf, 3.0]),
     ]
     # row 0 skips the inf (empty cell); row 1 has nan before -inf
     with pytest.raises(reporting.ReportError, match="non-finite value nan"):
@@ -122,7 +135,7 @@ def test_csv_names_the_first_non_finite_cell_in_row_order():
     columns[1] = np.array([1.0, 2.0, -np.inf])
     with pytest.raises(reporting.ReportError, match="non-finite value -inf"):
         reporting.to_csv(["a", "b", "c"], columns)
-    columns[2] = [2.0, 4.0, 3.0]
+    columns[2] = np.array([2.0, 4.0, 3.0])
     with pytest.raises(reporting.ReportError, match="non-finite value inf"):
         reporting.to_csv(["a", "b", "c"], columns)
 
@@ -316,6 +329,18 @@ def test_analyze_rejects_non_unit_speed(tmp_path, capsys):
     assert "not unit speed" in err
 
 
+@pytest.mark.parametrize("x", ["1e200*t", "exp(exp(t))"])
+def test_analyze_overflowing_speed_exits_2(tmp_path, capsys, x):
+    # the speed overflows to inf: stderr is the one error line, with no
+    # numpy overflow warning before it
+    path = tmp_path / "fast.txt"
+    path.write_text(f"n=1\n{x}\n0\n0\n")
+    rc, out, err = run(["analyze", "--grid", "64", "--curve", str(path)],
+                       capsys)
+    assert (rc, out, err) == (2, "", "error: curve is not unit speed: max "
+                              "speed deviation = inf exceeds tolerance 1e-06\n")
+
+
 @pytest.mark.parametrize("command", [["analyze"], ["flow", "--steps", "1"]])
 def test_expression_domain_error_exits_2(capsys, command):
     path = Path(__file__).resolve().parent / "curves" / "domain_error.txt"
@@ -436,6 +461,19 @@ def test_one_frenet_build_per_command(monkeypatch, capsys, argv,
     assert positions["calls"] == 0
     assert cls["calls"] == 1
     assert closed["calls"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--grid", "64"],
+    ["verify-example", "--grid", "64"],
+])
+def test_one_bitension_per_command(monkeypatch, capsys, argv):
+    # the direct route's covariant derivatives run once per command, also
+    # where verify-example weights them with two pairs at the same c
+    parts = _count_calls(monkeypatch, "_bitension_parts", (analysis,))
+    rc, _, err = run(argv, capsys)
+    assert rc == 0, err
+    assert parts["calls"] == 1
 
 
 def test_one_parser_build_per_process(monkeypatch, capsys):

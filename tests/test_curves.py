@@ -172,6 +172,20 @@ def test_frenet_rejects_non_unit_speed():
         frenet_apparatus(spec, sample_grid(spec, 64))
 
 
+def test_frenet_default_unit_tol_is_1e_6():
+    # the example circle with speed 1 + 1.2e-6 everywhere fails the
+    # default bound and passes one of 1.5e-6
+    spec = CurveSpec(2, ["1.0000012*sin(2*t)", "-1.0000012*cos(2*t)",
+                         "0", "0", "1"])
+    ts = sample_grid(spec, 64)
+    with pytest.raises(CurveError, match=re.escape(
+            "not unit speed: max speed deviation = 1.200000e-06 exceeds "
+            "tolerance 1e-06")):
+        frenet_apparatus(spec, ts)
+    frenet = frenet_apparatus(spec, ts, unit_tol=1.5e-6)
+    assert frenet.arclength.max_deviation == pytest.approx(1.2e-6, rel=1e-6)
+
+
 def test_frenet_checks_legendre_before_speed():
     # eta(T) = 1/2 and speed sqrt(1/2): the Legendre defect is reported
     spec = CurveSpec(1, ["t", "0", "t"])
@@ -272,7 +286,7 @@ def test_frenet_jet_order_follows_dimension():
     assert (fr.r, fr.m) == (7, 4)
     scalars = frame_scalars(fr)
     for c, delta in ((-3.0, (0.0, 1.0)), (2.5, (1.5, -0.5))):
-        direct = analysis._direct_report(fr, c, delta)
+        direct, = analysis._direct_reports(fr, c, [delta])
         closed = analysis.residual_closed_form(fr, scalars, c, delta)
         assert np.max(np.abs(direct.vector - closed.vector)) < 1e-12
 

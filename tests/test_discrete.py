@@ -386,6 +386,15 @@ def test_descend_rejects_a_rate_that_is_not_finite_and_positive(rate):
         discrete.descend(circle_curve(24), (1.0, 1.0), steps=0, rate=rate)
 
 
+def test_descend_defaults_are_rate_0_05_and_c_minus_3():
+    base = circle_curve(32)
+    base = moved(base, base.points + 0.01 * np.random.default_rng(7).standard_normal(base.points.shape))
+    default = discrete.descend(base, (1.0, 1.0), steps=3)
+    explicit = discrete.descend(base, (1.0, 1.0), steps=3, rate=0.05, c=-3.0)
+    assert not default.stopped and len(default.rows) == 4
+    assert default.rows == explicit.rows
+
+
 @pytest.mark.parametrize("delta", [(0.0, 1.0), (-8.0, 2.0)])
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
 @pytest.mark.parametrize("spec", [

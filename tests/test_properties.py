@@ -72,7 +72,7 @@ def verdicts(spec, ts, c, delta):
     frenet = frenet_apparatus(spec, ts, tol=TOL)
     scalars = frame_scalars(frenet)
     sol = analysis.solve_delta(frenet, scalars, c, tol=TOL)
-    direct = analysis._direct_report(frenet, c, delta)
+    direct, = analysis._direct_reports(frenet, c, [delta])
     closed = analysis.residual_closed_form(frenet, scalars, c, delta)
     gap = float(np.max(np.abs(direct.vector - closed.vector)))
     cls = sol.classification
