@@ -387,6 +387,7 @@ def test_descend_rejects_a_rate_that_is_not_finite_and_positive(rate):
 
 
 def test_descend_defaults_are_rate_0_05_and_c_minus_3():
+    # another default rate moves the first step, another c the residual
     base = circle_curve(32)
     base = moved(base, base.points + 0.01 * np.random.default_rng(7).standard_normal(base.points.shape))
     default = discrete.descend(base, (1.0, 1.0), steps=3)
