@@ -207,8 +207,6 @@ def residual_closed_form(frenet, scalars, c=-3.0, delta=(0.0, 1.0)):
     """The frame expansion of the residual, reassembled into a vector."""
     n = frenet.n
     m = frenet.m
-    if frenet.r >= 2 and frenet.frames.shape[0] < 2:
-        raise AnalysisError("frame data for E2 missing from FrenetData")
     co = _structural_coefficients(frenet, scalars, c, delta)
     vector = np.zeros((2 * n + 1, frenet.ts.size))
     for i in range(m):

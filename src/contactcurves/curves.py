@@ -3,11 +3,12 @@
 A curve is a tuple of coordinate sources, one per ambient coordinate
 (x_1..x_n, y_1..y_n, z).  A source is either a parsed expression of t or, for
 the z slot of curves built by :func:`make_legendre`, an integral whose value
-is obtained by adaptive quadrature and whose derivatives come straight from
-the integrand.  Everything is a truncated Taylor jet pass: positions and
-the z integrand are value slots, and velocity, covariant derivatives,
-Frenet frames and curvature functions read higher slots, so derivatives
-are exact up to the jet order; no finite differencing happens here.
+comes from quadrature, level by level with one integrand call per level,
+and whose derivatives come from the integrand.  Everything is a truncated
+Taylor jet pass: positions and the z integrand are value slots, and
+velocity, covariant derivatives, Frenet frames and curvature functions read
+higher slots, so derivatives are exact up to the jet order; no finite
+differencing happens here.
 
 The model's frame depends on the y coordinates only, so the analysis path
 (speed and Legendre defect, covariant derivatives, Frenet frames) reads the
@@ -72,69 +73,56 @@ class QuadratureError(RuntimeError):
 
 _GL_NODES_LO, _GL_WEIGHTS_LO = np.polynomial.legendre.leggauss(10)
 _GL_NODES_HI, _GL_WEIGHTS_HI = np.polynomial.legendre.leggauss(20)
-
-
-def _gl_rules(f, a, b):
-    """The 10- and 20-point Gauss rules on [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return (half * float(np.dot(_GL_WEIGHTS_LO, f(mid + half * _GL_NODES_LO))),
-            half * float(np.dot(_GL_WEIGHTS_HI, f(mid + half * _GL_NODES_HI))))
-
-
-# Bisection halves the per-panel tolerance so that the panel errors sum to
-# at most tol, but never below this floor: past it the two rules differ by
-# roundoff alone.
-_TOL_FLOOR = 64.0 * np.finfo(float).eps
-
-
-def _adaptive_quad(f, a, b, tol=1e-12, _depth=0, _rules=None):
-    """Integrate f over [a, b], bisecting until two Gauss rules agree.
-
-    Of the two halves, the one whose rules disagree more is bisected first,
-    so a panel that cannot converge (a non-integrable singularity) exhausts
-    the depth, and is named, before its neighbours are refined.
-    """
-    coarse, fine = _gl_rules(f, a, b) if _rules is None else _rules
-    err = abs(fine - coarse)
-    if err <= tol * max(1.0, abs(fine)):
-        return fine
-    if _depth >= 40:
-        raise QuadratureError(
-            f"quadrature did not converge on [{a:.6g}, {b:.6g}]: "
-            f"estimated error {err:.3e} after {_depth} bisections"
-        )
-    mid = 0.5 * (a + b)
-    tol = max(0.5 * tol, _TOL_FLOOR)
-    halves = [(a, mid, _gl_rules(f, a, mid)), (mid, b, _gl_rules(f, mid, b))]
-    halves.sort(key=lambda h: abs(h[2][1] - h[2][0]), reverse=True)
-    return sum(_adaptive_quad(f, lo, hi, tol, _depth + 1, rules)
-               for lo, hi, rules in halves)
-
-
 _GL_NODES_PAIR = np.concatenate((_GL_NODES_LO, _GL_NODES_HI))
 _GL_WEIGHTS_PAIR = np.zeros((_GL_NODES_PAIR.size, 2))
 _GL_WEIGHTS_PAIR[:_GL_NODES_LO.size, 0] = _GL_WEIGHTS_LO
 _GL_WEIGHTS_PAIR[_GL_NODES_LO.size:, 1] = _GL_WEIGHTS_HI
 
+# Each bisection halves the tolerance, so that a gap's panel errors sum to
+# at most _TOL, down to a floor past which the rules differ by roundoff.
+# More open panels than max(_MAX_OPEN, gaps) also fail, which bounds the
+# node array like QUADPACK's subinterval limit: near a pole of 1/(1 - t),
+# roundoff keeps the neighbours' panels open too, level after level.
+_TOL = 1e-12
+_TOL_FLOOR = 64.0 * np.finfo(float).eps
+_MAX_DEPTH = 40
+_MAX_OPEN = 4096
 
-def _composite_quad(f, a, b, tol=1e-12):
-    """Integrate f over every panel [a[k], b[k]] at once.
 
-    Both Gauss rules of all panels come from a single call of f on a
-    (panels, 30) node array.  A panel whose rules disagree by more than
-    _adaptive_quad accepts is handed to _adaptive_quad, which bisects it
-    depth first.
+def _composite_quad(f, a, b):
+    """Integrate f over every gap [a[k], b[k]], level by level.
+
+    Each level calls f once on a (panels, 30) node array for the 10- and
+    20-point rules of every open panel.  A panel whose rules agree (to tol
+    relative, absolute below 1) adds its 20-point value to its gap's total;
+    the rest are bisected.  A failure names the worst open panel.
     """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = mid[:, np.newaxis] + half[:, np.newaxis] * _GL_NODES_PAIR
-    sums = half[:, np.newaxis] * (f(nodes) @ _GL_WEIGHTS_PAIR)
-    coarse, fine = sums[:, 0], sums[:, 1]
-    accepted = np.abs(fine - coarse) <= tol * np.maximum(1.0, np.abs(fine))
-    for k in np.flatnonzero(~accepted):
-        fine[k] = _adaptive_quad(f, a[k], b[k], tol)
-    return fine
+    totals = np.zeros(a.shape)
+    gap = np.arange(a.size)
+    limit = max(_MAX_OPEN, a.size)
+    tol = _TOL
+    for depth in range(_MAX_DEPTH + 1):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        nodes = mid[:, np.newaxis] + half[:, np.newaxis] * _GL_NODES_PAIR
+        sums = half[:, np.newaxis] * (f(nodes) @ _GL_WEIGHTS_PAIR)
+        coarse, fine = sums[:, 0], sums[:, 1]
+        err = np.abs(fine - coarse)
+        accepted = err <= tol * np.maximum(1.0, np.abs(fine))
+        np.add.at(totals, gap[accepted], fine[accepted])
+        keep = ~accepted
+        opened = np.count_nonzero(keep)
+        if not opened:
+            return totals
+        if depth == _MAX_DEPTH or opened > limit:
+            k = np.argmax(np.where(keep, err, -1.0))
+            raise QuadratureError(
+                f"quadrature did not converge on [{a[k]:.6g}, {b[k]:.6g}]: "
+                f"estimated error {err[k]:.3e} after {depth} bisections"
+                + (f" with {opened} panels open" if opened > limit else ""))
+        a, b = np.concatenate((a[keep], mid[keep])), np.concatenate((mid[keep], b[keep]))
+        gap = np.tile(gap[keep], 2)
+        tol = max(0.5 * tol, _TOL_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +149,9 @@ class IntegralCoordinate:
 
         Integrates over the consecutive gaps of the distinct parameters with
         0 spliced in as the reference point, then shifts the running sum so
-        that the entry at 0 equals z0.  One batched pass evaluates the 10-
-        and 20-point Gauss rules of every gap in a single integrand jet;
-        only the gaps where the two rules disagree are bisected, one by one.
+        that the entry at 0 equals z0.  The quadrature runs level by level,
+        one integrand call per level: 10- and 20-point Gauss rules on every
+        gap, then on the halves of each panel whose two rules disagreed.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         anchors, at = np.unique(np.append(0.0, ts), return_inverse=True)
@@ -386,10 +374,9 @@ def make_legendre(x_exprs, y_exprs, z0=0.0, period=2.0 * np.pi, closed=True):
     velocity: z' = sum_i y_i x_i'.  One jet of that integrand gives both the
     quadrature's values (its value slot) and the derivative slots of the z
     jet, so the Legendre defect of the result is limited only by roundoff.
-    Values of z are obtained by Gauss-Legendre quadrature from z(0) = z0:
-    one batched 10/20-point pass over all grid gaps, then adaptive bisection
-    of only the gaps where the two rules disagree.  The quadrature runs only
-    where positions are read (coordinate_jets, and so CurveSpec.point and
+    Values of z are obtained by Gauss-Legendre quadrature from z(0) = z0,
+    level by level, one integrand call per level.  It runs only where
+    positions are read (coordinate_jets, and so CurveSpec.point and
     DiscreteCurve.from_spec); the Frenet and residual analysis needs no z
     value.
     """
@@ -456,9 +443,10 @@ class FrenetData:
     frames[i] holds the frame coefficients of E_{i+1}, shape (2n+1, N).
     curvatures[i] holds k_{i+1} >= 0 on the grid.  r is the osculating
     order: the number of frames, constant along the curve by construction
-    (a crossing raises instead).  Jets of the same data are kept for the
-    analysis layer, which needs derivatives of the curvatures.  arclength
-    holds the speed and Legendre defect read from the same jets.
+    (a crossing raises instead), and frenet_apparatus stacks exactly r
+    frames.  Jets of the same data are kept for the analysis layer, which
+    needs derivatives of the curvatures.  arclength holds the speed and
+    Legendre defect read from the same jets.
     """
 
     ts: np.ndarray

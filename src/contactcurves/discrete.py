@@ -84,7 +84,8 @@ class DiscreteCurve:
     included), N-1 for open ones.  tau is the discrete nabla_T T and T the
     tangent at the vertices with a centered stencil: all N for closed
     curves, the N-2 interior ones for open curves.  A degenerate segment
-    raises, since the polyline then has no usable direction there.
+    raises: one whose length in the max norm, which cannot overflow, is
+    below 1e-13 times the largest coordinate (or 1e-13 below 1).
     """
 
     points: np.ndarray
@@ -117,7 +118,7 @@ class DiscreteCurve:
         y = p[n:2 * n]
         dp = (p[:, 1:] - p[:, :-1]) / h
         ybar = 0.5 * (y[:, :-1] + y[:, 1:])
-        lengths = np.linalg.norm(dp, axis=0) * h
+        lengths = np.abs(dp).max(axis=0) * h
         bad = np.nonzero(lengths < 1e-13 * max(1.0, float(np.abs(p).max())))[0]
         if bad.size:
             raise DiscreteCurveError(f"degenerate segment at index {int(bad[0])}")
@@ -160,12 +161,18 @@ class DiscreteCurve:
         return float(np.abs(self.u[2 * self.n]).max())
 
     def validate(self, tol=1e-3):
-        """Check the polyline invariants; returns the max chord defect."""
+        """Check the chord defect and the energy's squares; returns the defect."""
         defect = self.max_defect()
         if not defect < tol:
             raise DiscreteCurveError(
                 f"chord Legendre defect {defect:.3e} exceeds tolerance {tol:.3e}"
             )
+        with np.errstate(over="ignore"):
+            for name, first, v in (("chord speed", 0, self.u),
+                                   ("vertex tension", int(not self.closed), self.tau)):
+                bad = np.flatnonzero(np.isinf(np.sum(v * v, axis=0)))
+                if bad.size:
+                    raise DiscreteCurveError(f"{name} overflows at index {first + bad[0]}")
         return defect
 
 
@@ -409,9 +416,6 @@ def descend(curve: DiscreteCurve, delta, steps=50, rate=0.05, c=-3.0) -> Descent
     for step in range(1, steps + 1):
         grad = energy_gradient(cur, delta)
         direction = _project_contact(cur, -grad)
-        if not cur.closed:
-            direction[:, 0] = 0.0
-            direction[:, -1] = 0.0
         if np.abs(direction).max() == 0.0:
             return DescentResult(cur, rows, f"zero gradient at step {step}")
         slope = -float(np.sum(grad * direction))

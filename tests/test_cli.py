@@ -341,6 +341,20 @@ def test_analyze_overflowing_speed_exits_2(tmp_path, capsys, x):
                               "speed deviation = inf exceeds tolerance 1e-06\n")
 
 
+@pytest.mark.parametrize("x, error", [
+    ("1e200*t", "chord speed overflows at index 0"),
+    # x(0) = e against a largest coordinate of about 1e209: degenerate
+    ("exp(exp(t))", "degenerate segment at index 0"),
+])
+def test_flow_overflowing_curve_exits_2(tmp_path, capsys, x, error):
+    # one error line on stderr, with no numpy overflow warning before it
+    path = tmp_path / "fast.txt"
+    path.write_text(f"n=1\n{x}\n0\n0\n")
+    rc, out, err = run(["flow", "--grid", "64", "--steps", "2", "--curve",
+                        str(path)], capsys)
+    assert (rc, out, err) == (2, "", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("command", [["analyze"], ["flow", "--steps", "1"]])
 def test_expression_domain_error_exits_2(capsys, command):
     path = Path(__file__).resolve().parent / "curves" / "domain_error.txt"

@@ -12,7 +12,7 @@ from contactcurves.curves import (
     CurveSpec,
     IntegralCoordinate,
     QuadratureError,
-    _adaptive_quad,
+    _composite_quad,
     arclength_check,
     coordinate_jets,
     frame_scalars,
@@ -107,13 +107,25 @@ def test_quadrature_divergence_raises():
     assert abs(a - 1.0) < 1e-3 and abs(b - 1.0) < 1e-3
 
 
-def test_quadrature_integrable_endpoint_singularity():
+def test_quadrature_integrable_endpoint_singularity(monkeypatch):
     # integral_0^1 log(s) ds = -1; the bisection toward s = 0 must stop at
     # roundoff instead of demanding ever smaller absolute errors
     spec = make_legendre(["t"], ["log(t)"])
+    calls = _count_integrand_calls(monkeypatch)
     z = spec.point(np.array([1.0, 2.0]))[-1]
     assert abs(z[0] + 1.0) < 1e-12
     assert abs(z[1] - (2.0 * np.log(2.0) - 2.0)) < 1e-12
+    # one call per level: the panel at s = 0 is accepted at the 39th
+    # bisection, once its tolerance has reached the roundoff floor
+    assert calls[0] == 40
+
+
+def test_bisected_z_matches_arctan():
+    # z' = 1/(1 + 400 t^2) has z = atan(20 t)/20; its gaps near 0 bisect
+    spec = make_legendre(["t"], ["1/(1+400*t^2)"])
+    ts = np.concatenate((np.linspace(-1.0, 1.0, 9), [0.013, -0.4]))
+    z = spec.point(ts)[-1]
+    assert np.max(np.abs(z - np.arctan(20.0 * ts) / 20.0)) < 1e-12
 
 
 def test_frenet_example_curve(example_curve, example_grid):
@@ -291,6 +303,15 @@ def test_frenet_jet_order_follows_dimension():
         assert np.max(np.abs(direct.vector - closed.vector)) < 1e-12
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_frenet_stacks_exactly_r_frames(r):
+    # residual_closed_form reads frames[:m] with no guard: this is why
+    spec, _ = families.random_legendre_curve(np.random.default_rng(60 + r), r)
+    fr = frenet_apparatus(spec, sample_grid(spec, 64), unit_tol=1e-5)
+    assert fr.r == r
+    assert fr.frames.shape[0] == r and fr.curvatures.shape[0] == r - 1
+
+
 def test_last_frenet_equation_rederived():
     # nabla_T E_r = -k_{r-1} E_{r-1}, with the left side recomputed through
     # the sampled-field differentiation route rather than the frame jets
@@ -383,12 +404,12 @@ def test_integral_coordinate_negative_and_repeat_times():
 
 
 def _per_gap_z(coord, ts):
-    """Reference z: one adaptive quadrature per gap of the sorted ts and 0."""
+    """Reference z: one quadrature call per gap of the sorted ts and 0."""
     ts = np.asarray(ts, dtype=float)
     anchors = np.unique(np.concatenate(([0.0], ts)))
     running = np.concatenate(([0.0], np.cumsum([
-        _adaptive_quad(lambda s: coord._integrand_jet(jets.variable(s, 1), {}).value,
-                       a, b)
+        _composite_quad(lambda s: coord._integrand_jet(jets.variable(s, 1), {}).value,
+                        np.array([a]), np.array([b]))[0]
         for a, b in zip(anchors[:-1], anchors[1:])
     ])))
     running -= running[np.searchsorted(anchors, 0.0)]
@@ -435,15 +456,28 @@ def _count_integrand_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("xs, ys, ts", [
-    (["t"], ["1/(1+400*t^2)"], [-1.0, 1.0]),
-    (["sin(t)"], ["exp(4*cos(t))"], [2 * np.pi, 3.0]),
+def test_bisected_z_matches_a_period_integral(monkeypatch):
+    # the integral of 1/(b + cos t) over one period is 2 pi / sqrt(b^2 - 1);
+    # the gap [0, 2 pi] settles at the fourth bisection, and would at the
+    # third with a tolerance 10x looser or one that shrank by 0.75 per level
+    spec = make_legendre(["t"], ["1/(1.3+cos(t))"])
+    calls = _count_integrand_calls(monkeypatch)
+    z = spec.point(np.array([2.0 * np.pi]))[-1]
+    assert abs(z[0] - 2.0 * np.pi / np.sqrt(1.3 ** 2 - 1.0)) < 1e-12 * abs(z[0])
+    assert calls[0] == 5
+
+
+@pytest.mark.parametrize("xs, ys, ts, levels", [
+    (["t"], ["1/(1+400*t^2)"], [-1.0, 1.0], 5),
+    (["sin(t)"], ["exp(4*cos(t))"], [2 * np.pi, 3.0], 3),
 ])
-def test_batched_z_bisects_gaps_the_rules_disagree_on(xs, ys, ts, monkeypatch):
+def test_batched_z_bisects_gaps_the_rules_disagree_on(xs, ys, ts, levels, monkeypatch):
     spec = make_legendre(xs, ys)
     calls = _count_integrand_calls(monkeypatch)
     spec.coords[-1].values(np.array(ts))
-    assert calls[0] > 1  # the batched pass alone did not settle these gaps
+    # the first pass alone did not settle these gaps; each bisection level
+    # after it is one more call
+    assert calls[0] == levels
     _assert_matches_per_gap(spec, np.array(ts))
 
 
@@ -455,12 +489,49 @@ def test_smooth_z_takes_one_integrand_call(monkeypatch):
     assert calls[0] == 1
 
 
-def test_divergent_z_fails_fast(monkeypatch):
-    spec = make_legendre(["1/(1 - t)"], ["1"])
+@pytest.mark.parametrize("x, levels, tail", [
+    # a pole at the gap's end 0: one panel stays open per level
+    ("1/t", 41, "after 40 bisections"),
+    # a pole inside the gap: the roundoff of 1 - t keeps panels near it open
+    # too, and their number passes the open-panel limit first
+    ("1/(1 - t)", 34, "after 33 bisections with 5005 panels open"),
+])
+def test_divergent_z_fails_fast(x, levels, tail, monkeypatch):
+    spec = make_legendre([x], ["1"])
     calls = _count_integrand_calls(monkeypatch)
-    with pytest.raises(QuadratureError, match="did not converge"):
+    with pytest.raises(QuadratureError, match="did not converge") as err:
         spec.point(np.array([2.0]))
-    assert calls[0] < 1000
+    assert str(err.value).endswith(tail)
+    assert calls[0] == levels
+
+
+def test_open_panel_limit_grows_with_the_gap_count(monkeypatch):
+    # 8192 gaps of about 24 radians of sin(2e5 t) each: all of them bisect
+    # once, which is more than _MAX_OPEN panels but not more than the gaps
+    spec = make_legendre(["t"], ["sin(2e5*t)"])
+    ts = np.linspace(0.0, 1.0, 8193)
+    calls = _count_integrand_calls(monkeypatch)
+    z = spec.point(ts)[-1]
+    assert calls[0] == 2
+    assert np.max(np.abs(z - (1.0 - np.cos(2e5 * ts)) / 2e5)) < 1e-12
+
+
+@pytest.mark.parametrize("y", ["exp(exp(t))", "sin(1e15*t)"])
+def test_open_panels_are_bounded(y, monkeypatch):
+    # a non-finite integrand past t = 6.56, and one no level resolves: every
+    # panel there stays open, so without the limit their number would double
+    # for 40 levels
+    widest = [0]
+    original = IntegralCoordinate._integrand_jet
+
+    def recorded(self, t, shared):
+        widest[0] = max(widest[0], t.value.shape[0])
+        return original(self, t, shared)
+
+    monkeypatch.setattr(IntegralCoordinate, "_integrand_jet", recorded)
+    with pytest.raises(QuadratureError, match="panels open$"):
+        make_legendre(["t"], [y]).point(np.array([10.0]))
+    assert widest[0] <= 2 * curves._MAX_OPEN
 
 
 # ---------------------------------------------------------------------------

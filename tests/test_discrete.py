@@ -90,6 +90,18 @@ def test_validate_rejects_a_nan_chord_defect():
         moved(dc, points).validate(tol=1e-3)
 
 
+@pytest.mark.parametrize("closed, vertex", [(True, 0), (False, 1)])
+def test_validate_names_an_overflowing_vertex_tension(closed, vertex):
+    # chord speeds of 5e149 square to a finite 2.5e299, but the turn at
+    # every vertex over h = 1e-5 gives a tension whose square overflows
+    points = np.zeros((3, 8))
+    points[0, 1::2] = 1e145
+    dc = discrete.DiscreteCurve(points, 1, 1e-5, closed=closed)
+    with pytest.raises(discrete.DiscreteCurveError,
+                       match=f"^vertex tension overflows at index {vertex}$"):
+        dc.validate()
+
+
 def test_points_are_a_read_only_copy():
     raw = circle_curve(32).points.copy()
     dc = discrete.DiscreteCurve(raw, 2, 0.1)
@@ -352,6 +364,19 @@ def test_descent_rows_are_csv_ready():
     assert [row.step for row in res.rows] == list(range(len(res.rows)))
     for row in res.rows:
         assert np.isfinite([row.energy, row.max_defect, row.analyzer_residual]).all()
+
+
+def test_descend_returns_open_endpoints_bit_for_bit():
+    # energy_gradient's endpoint columns are zero, so every step leaves the
+    # endpoints as they are, down to the sign of a -0.0 coordinate
+    dc = discrete.DiscreteCurve.from_spec(families.helix(), 16, span=(0.0, 3.0))
+    points = dc.points.copy()
+    points[1, 0] = -0.0
+    start = moved(dc, points)
+    result = discrete.descend(start, (0.7, 1.0), steps=3, rate=0.02)
+    assert not result.stopped
+    ends = result.curve.points[:, [0, -1]]
+    assert ends.tobytes() == start.points[:, [0, -1]].tobytes()
 
 
 def test_descend_builds_each_polyline_once(monkeypatch):
