@@ -84,8 +84,8 @@ class DiscreteCurve:
     included), N-1 for open ones.  tau is the discrete nabla_T T and T the
     tangent at the vertices with a centered stencil: all N for closed
     curves, the N-2 interior ones for open curves.  A degenerate segment
-    raises: one whose length in the max norm, which cannot overflow, is
-    below 1e-13 times the largest coordinate (or 1e-13 below 1).
+    raises: one whose max-norm length (which cannot overflow) is below
+    1e-13 * max(1, largest |coordinate|).
     """
 
     points: np.ndarray
