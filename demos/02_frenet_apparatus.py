@@ -14,7 +14,6 @@ from contactcurves.curves import (
     arclength_check,
     frame_scalars,
     frenet_apparatus,
-    legendre_defect,
     sample_grid,
 )
 
@@ -61,4 +60,4 @@ print(f"\nrational turn: r = {tfr.r},",
 print("  jet derivative vs hand formula for k1':",
       f"{np.max(np.abs(k1p - expected_p)):.2e}")
 print("  defect of the synthesized z coordinate:",
-      f"{np.max(np.abs(legendre_defect(turn, tts))):.2e}")
+      f"{arclength_check(turn, tts).max_defect:.2e}")

@@ -506,7 +506,7 @@ def solve_delta(frenet, scalars, c=-3.0, tol=CONSTANCY_TOL):
     else:
         applies = cls.klass in ("circle", "helix")
     if not applies:
-        rho, code = None, 0
+        rho, code, feasible = None, 0, False
         notes.append("no case formula applies; see the pointwise ratio")
     else:
         rho, _, table_feasible, code = case_formula(

@@ -40,8 +40,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, discrete, reporting
-# re-exported: callers read the scan's verdict texts from this module too
-from .analysis import EXCLUDED_VERDICT, GEODESIC_VERDICT, THRESHOLD_VERDICT  # noqa: F401
 from .curves import (
     CurveError,
     CurveSpec,

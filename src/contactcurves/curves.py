@@ -1,20 +1,17 @@
 """Curves in the model space: evaluation, Legendre construction, Frenet frames.
 
 A curve is a tuple of coordinate sources, one per ambient coordinate
-(x_1..x_n, y_1..y_n, z).  A source is either a parsed expression of t or, for
-the z slot of curves built by :func:`make_legendre`, an integral whose value
-comes from quadrature, level by level with one integrand call per level,
-and whose derivatives come from the integrand.  Everything is a truncated
-Taylor jet pass: positions and the z integrand are value slots, and
-velocity, covariant derivatives, Frenet frames and curvature functions read
-higher slots, so derivatives are exact up to the jet order; no finite
-differencing happens here.
-
-The model's frame depends on the y coordinates only, so the analysis path
-(speed and Legendre defect, covariant derivatives, Frenet frames) reads the
-velocity jet and the y jet and never a z value.  The z integral is
-therefore evaluated only where positions are read: :func:`coordinate_jets`
-and so :meth:`CurveSpec.point`.
+(x_1..x_n, y_1..y_n, z).  A source is a parsed expression of t or, in the z
+slot only, the integral that :func:`make_legendre` builds.  A curve is read
+in two ways.  Positions come from :func:`coordinate_jets` (and so
+:meth:`CurveSpec.point`): each expression's value, and the integral's value
+by quadrature, level by level with one integrand call per level.  Every
+analysis path (speed and Legendre defect, covariant derivatives, Frenet
+frames, curvature functions) reads the velocity and y jets of
+:func:`_velocity_jets` instead: truncated Taylor jets, so derivatives are
+exact up to the jet order and no finite differencing happens here.  The
+model's frame depends on y only, and an integral's velocity comes from its
+integrand, so this path never integrates.
 
 One jet pass over a curve evaluates each distinct function call once: all
 coordinates are evaluated in one sharing scope (see
@@ -51,8 +48,6 @@ __all__ = [
     "ArclengthReport",
     "make_legendre",
     "coordinate_jets",
-    "velocity",
-    "legendre_defect",
     "arclength_check",
     "frenet_apparatus",
     "frame_scalars",
@@ -130,13 +125,13 @@ def _composite_quad(f, a, b):
 
 
 class IntegralCoordinate:
-    """Coordinate of the form z0 + integral_0^t of a derived integrand.
+    """The z coordinate z0 + integral_0^t sum_i y_i(s) x_i'(s) ds.
 
-    The integrand here is always sum_i y_i(s) x_i'(s), assembled from the
-    profile expressions of :func:`make_legendre`.  Jets of this coordinate are
-    exact in every derivative slot; only the order-zero value goes through
-    quadrature, and :meth:`_taylor_tail` gives the other slots without it,
-    from the profile jets of the pass's sharing scope.
+    :func:`make_legendre` builds it from its profile expressions, and
+    :class:`CurveSpec` accepts it in the z slot only.  Its value, read only
+    for positions, comes from :meth:`values` by quadrature; the velocity
+    pass reads :meth:`_taylor_tail`, the exact derivative slots, from the
+    profile jets of the pass's sharing scope.
     """
 
     def __init__(self, z0, x_exprs, y_exprs):
@@ -161,20 +156,13 @@ class IntegralCoordinate:
         )))
         return self.z0 + running[at[1:]] - running[at[0]]
 
-    def evaluate(self, t, shared):
-        """Jet of the coordinate over the variable jet t, whose values are 1-D.
-
-        shared is the sharing scope of the pass, as for Expr.evaluate.
-        """
-        tail = self._taylor_tail(t, shared)
-        return jets.Jet(np.concatenate((self.values(t.value)[np.newaxis], tail)))
-
     def _taylor_tail(self, t, shared):
-        """Taylor coefficients 1..K at t's values: integrand coefficient k-1 over k."""
-        K = t.order
-        if K < 1:
-            return np.zeros((0,) + t.shape)
-        k = np.arange(1, K + 1, dtype=float)[:, np.newaxis]
+        """Taylor coefficients 1..K at t's values: integrand coefficient k-1 over k.
+
+        t has order K >= 1; shared is the sharing scope of the pass, as for
+        Expr.evaluate.
+        """
+        k = np.arange(1, t.order + 1, dtype=float)[:, np.newaxis]
         return self._integrand_jet(t, shared).coeffs / k
 
     def _integrand_jet(self, t, shared):
@@ -203,7 +191,8 @@ class CurveSpec:
     """A parametric curve in the (2n+1)-dimensional model space.
 
     coords holds one source per coordinate in the order
-    x_1..x_n, y_1..y_n, z.  Plain strings are parsed as expressions of t.
+    x_1..x_n, y_1..y_n, z.  Plain strings are parsed as expressions of t;
+    an IntegralCoordinate is accepted as z only.
     """
 
     def __init__(self, n, coords, period=2.0 * np.pi, closed=True):
@@ -225,6 +214,11 @@ class CurveSpec:
                     raise CurveError(
                         f"coordinate {k + 1} does not parse: {exc}"
                     ) from exc
+            elif isinstance(c, IntegralCoordinate) and k != 2 * n:
+                raise CurveError(
+                    f"coordinate {k + 1}: an integral source can only be z, "
+                    f"coordinate {2 * n + 1}"
+                )
             elif isinstance(c, (Expr, IntegralCoordinate)):
                 sources.append(c)
             else:
@@ -248,7 +242,7 @@ class CurveSpec:
     def point(self, t):
         """Coordinates at t, shape (2n+1,) or (2n+1, N): an order-0 jet pass."""
         t = np.asarray(t, dtype=float)
-        pts = coordinate_jets(self, t, order=0).value
+        pts = coordinate_jets(self, t).value
         return pts[:, 0] if t.ndim == 0 else pts
 
     def __repr__(self):
@@ -292,58 +286,47 @@ def _reject_non_finite(spec, ts, *blocks):
     )
 
 
-def coordinate_jets(spec, ts, order):
-    """Jet of all coordinates along the curve; value shape (2n+1, N).
+def coordinate_jets(spec, ts):
+    """Order-0 jet of all coordinates along the curve; value shape (2n+1, N).
 
-    A coefficient that overflows, or turns into nan, raises EvaluationError
-    naming its coordinate instead of reaching the caller.
+    An expression gives its value slot and an integral z its quadrature
+    values.  A value that overflows, or turns into nan, raises
+    EvaluationError naming its coordinate instead of reaching the caller.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    t = jets.variable(ts, order)
+    t = jets.variable(ts, 0)
     shared = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        out = jets.stack([c.evaluate(t, shared) for c in spec.coords], axis=0)
-    _reject_non_finite(spec, ts, (0, out.coeffs))
-    return out
+        values = np.stack([c.values(ts) if isinstance(c, IntegralCoordinate)
+                           else c.evaluate(t, shared).value for c in spec.coords])
+    _reject_non_finite(spec, ts, (0, values[np.newaxis]))
+    return jets.Jet(values[np.newaxis])
 
 
 def _velocity_jets(spec, ts, order):
     """Velocity jet (order - 1, shape (2n+1, N)) and y jet (order, shape (n, N)).
 
-    The velocity equals coordinate_jets(spec, ts, order).derivative() to the
-    bit, but a derivative reads only the coefficients above order zero, so
-    an integral coordinate outside the y slots gives them from its
-    integrand and is never integrated.  All coordinates share one scope
-    that lives for this call, so each distinct function call is computed
-    once and the z tail reads the x and y jets already built.  A non-finite
-    velocity or y value raises EvaluationError, as in coordinate_jets.
+    order >= 1.  The velocity is each coordinate's jet at that order,
+    differentiated; an integral z gives its slots from its integrand, so
+    this pass never integrates.  All coordinates share one scope that lives
+    for this call, so each distinct function call is computed once and the
+    z tail reads the x and y jets already built.  A non-finite velocity or
+    y value raises EvaluationError, as in coordinate_jets.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = spec.n
     t = jets.variable(ts, order)
     shared = {}
-    tails, ys = [], []
     k = np.arange(1, order + 1, dtype=float)[:, np.newaxis, np.newaxis]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, c in enumerate(spec.coords):
-            if isinstance(c, IntegralCoordinate) and not n <= i < 2 * n:
-                tails.append(c._taylor_tail(t, shared))
-                continue
-            j = c.evaluate(t, shared)
-            tails.append(j.coeffs[1:])
-            if n <= i < 2 * n:
-                ys.append(j)
-        v = np.stack(tails, axis=1) * k
-    y = jets.stack(ys, axis=0)
+        xy = [c.evaluate(t, shared) for c in spec.coords[:2 * n]]
+        z = spec.coords[-1]
+        z_tail = (z._taylor_tail(t, shared) if isinstance(z, IntegralCoordinate)
+                  else z.evaluate(t, shared).coeffs[1:])
+        v = np.stack([j.coeffs[1:] for j in xy] + [z_tail], axis=1) * k
+    y = jets.stack(xy[n:], axis=0)
     _reject_non_finite(spec, ts, (0, v), (n, y.coeffs[:1]))
     return jets.Jet(v), y
-
-
-def velocity(spec, t):
-    """Coordinate components of the velocity, shape like spec.point(t)."""
-    t = np.asarray(t, dtype=float)
-    v = _velocity_jets(spec, t, 1)[0].value
-    return v[:, 0] if t.ndim == 0 else v
 
 
 def _nabla_along(n, t_frame, v_frame):
@@ -389,13 +372,6 @@ def make_legendre(x_exprs, y_exprs, z0=0.0, period=2.0 * np.pi, closed=True):
     n = len(xs)
     z = IntegralCoordinate(z0, xs, ys)
     return CurveSpec(n, list(xs) + list(ys) + [z], period=period, closed=closed)
-
-
-def legendre_defect(spec, t):
-    """Value of the contact form on the velocity, eta(gamma'(t))."""
-    t = np.asarray(t, dtype=float)
-    defect = arclength_check(spec, t).defects
-    return float(defect[0]) if t.ndim == 0 else defect
 
 
 @dataclass

@@ -528,6 +528,21 @@ def test_solve_generic_nonconstant():
     assert not sol.feasible
 
 
+@pytest.mark.parametrize("L", [1.0, 1e2, 1e4])
+def test_no_case_formula_is_never_feasible(L):
+    # the rational turn dilated by L: class general, case III, with rho(t)
+    # spread 6.75/L^2.  At L = 1e4 that is under the absolute bound, yet no
+    # formula gives a ratio, so no weight pair is reported feasible
+    spec = curves.make_legendre(["2*L*log(1+(t/L)^2)".replace("L", repr(L))],
+                                ["L*(4*atan(t/L)-2*t/L)".replace("L", repr(L))],
+                                period=3 * L, closed=False)
+    sol = analysis.solve_delta(*frenet_pair(spec, grid(spec, 256)))
+    assert (sol.classification.klass, sol.classification.case) == ("general", "III")
+    assert sol.rho is None and not sol.feasible
+    assert sol.verdict == "no constant weight ratio fits this curve"
+    assert (sol.rho_spread > analysis.CONSTANCY_TOL) == (L < 1e4)
+
+
 # ---------------------------------------------------------------------------
 # independence of the derived frame
 

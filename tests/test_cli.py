@@ -289,7 +289,7 @@ def test_analyze_geodesic(tmp_path, capsys):
     assert report["class"] == "geodesic"
     assert report["rho"] is None
     assert report["solve"]["any_delta"] is True
-    assert report["solve"]["verdict"] == cli.GEODESIC_VERDICT
+    assert report["solve"]["verdict"] == analysis.GEODESIC_VERDICT
     assert report["max_residual"] < 1e-10
     assert report["independence"]["applicable"] is False
 
@@ -305,9 +305,9 @@ def test_analyze_circle_k1_names_the_case1_exclusion(capsys):
     assert (report["case"], report["rho"]) == ("I", 0.0)
     assert report["theorem"]["passed"] is True
     assert report["solve"]["feasible"] is False
-    assert report["solve"]["verdict"] == cli.EXCLUDED_VERDICT
+    assert report["solve"]["verdict"] == analysis.EXCLUDED_VERDICT
     rc, out, _ = run(["scan", "--case", "I"], capsys)
-    assert rc == 0 and out.splitlines()[1].endswith("," + cli.EXCLUDED_VERDICT)
+    assert rc == 0 and out.splitlines()[1].endswith("," + analysis.EXCLUDED_VERDICT)
 
 
 def test_analyze_rejects_non_legendre(tmp_path, capsys):

@@ -17,10 +17,8 @@ from contactcurves.curves import (
     coordinate_jets,
     frame_scalars,
     frenet_apparatus,
-    legendre_defect,
     make_legendre,
     sample_grid,
-    velocity,
 )
 from contactcurves.discrete import DiscreteCurve
 from contactcurves.expressions import EvaluationError, parse
@@ -43,8 +41,8 @@ def test_curve_spec_validation():
 def test_point_and_velocity(example_curve):
     p = example_curve.point(0.0)
     assert np.allclose(p, [0.0, -1.0, 0.0, 0.0, 1.0])
-    v = velocity(example_curve, 0.0)
-    assert np.allclose(v, [2.0, 0.0, 0.0, 0.0, 0.0])
+    v, _ = curves._velocity_jets(example_curve, 0.0, 1)
+    assert np.allclose(v.value[:, 0], [2.0, 0.0, 0.0, 0.0, 0.0])
     ts = np.array([0.0, 0.25, 1.3])
     pts = example_curve.point(ts)
     assert pts.shape == (5, 3)
@@ -63,8 +61,8 @@ def test_sample_grid(example_curve):
 def test_example_is_unit_speed_legendre(example_curve, example_grid):
     rep = arclength_check(example_curve, example_grid)
     assert rep.max_deviation < 1e-12
+    assert rep.defects.shape == rep.speeds.shape == example_grid.shape
     assert np.max(np.abs(rep.defects)) < 1e-12
-    assert np.max(np.abs(legendre_defect(example_curve, example_grid))) < 1e-12
 
 
 def test_make_legendre_z_closed_form():
@@ -75,21 +73,20 @@ def test_make_legendre_z_closed_form():
     expected = 0.25 + ts / 2 + np.sin(2 * ts) / 4
     assert np.max(np.abs(zs - expected)) < 1e-12
 
-    cj = coordinate_jets(spec, ts, order=4)
-    # derivative slots of the z jet come from the integrand, so they are exact
-    zj = cj.coeffs[:, 2, :]
-    assert np.allclose(zj[1], np.cos(ts) ** 2, atol=1e-13)
-    assert np.allclose(2 * zj[2], -np.sin(2 * ts), atol=1e-13)
-    assert np.allclose(6 * zj[3], -2 * np.cos(2 * ts), atol=1e-13)
+    v, _ = curves._velocity_jets(spec, ts, 4)
+    # the z velocity's slots come from the integrand, so they are exact
+    dz = [v.deriv(k)[2] for k in range(3)]
+    assert np.allclose(dz[0], np.cos(ts) ** 2, atol=1e-13)
+    assert np.allclose(dz[1], -np.sin(2 * ts), atol=1e-13)
+    assert np.allclose(dz[2], -2 * np.cos(2 * ts), atol=1e-13)
 
 
 def test_make_legendre_defect_is_roundoff():
     spec = make_legendre(
         ["-2*cos(3*t)/3", "0"], ["2*sin(3*t)/3", "0"], z0=1.0
     )
-    ts = sample_grid(spec, 128)
-    assert np.max(np.abs(legendre_defect(spec, ts))) < 1e-10
-    rep = arclength_check(spec, ts)
+    rep = arclength_check(spec, sample_grid(spec, 128))
+    assert rep.max_defect < 1e-10
     assert rep.max_deviation < 1e-12
 
 
@@ -226,15 +223,6 @@ def test_frenet_admission_rejects_nan(example_curve, monkeypatch, row, message):
         frenet_apparatus(example_curve, sample_grid(example_curve, 64))
 
 
-def test_legendre_defect_shape_follows_t(example_curve, example_grid):
-    defects = legendre_defect(example_curve, example_grid)
-    assert isinstance(defects, np.ndarray)
-    assert defects.shape == example_grid.shape
-    one = legendre_defect(example_curve, 0.5)
-    assert type(one) is float
-    assert one == legendre_defect(example_curve, np.array([0.5]))[0]
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("coords, text, t", [
     # exp(-800 t) exp(800 t) is 1 in exact arithmetic, inf * 0 past t = 0.887
@@ -253,7 +241,7 @@ def test_overflow_is_named_by_its_coordinate(coords, text, t):
     with pytest.raises(EvaluationError, match=message):
         curves._velocity_jets(spec, ts, 1)
     with pytest.raises(EvaluationError, match=message):
-        coordinate_jets(spec, ts, order=0)
+        coordinate_jets(spec, ts)
 
 
 @pytest.mark.parametrize("grid", [64, 256])
@@ -556,8 +544,6 @@ def test_analysis_integrates_no_z(r, monkeypatch):
     ts = sample_grid(spec, 128)
     calls = _count_z_quadratures(monkeypatch)
     arclength_check(spec, ts)
-    legendre_defect(spec, ts)
-    velocity(spec, ts)
     frenet = frenet_apparatus(spec, ts, unit_tol=1e-5)
     scalars = frame_scalars(frenet)
     analysis.residual_direct(spec, ts)
@@ -570,22 +556,33 @@ def test_analysis_integrates_no_z(r, monkeypatch):
     assert calls[0] == 2
 
 
-@pytest.mark.parametrize("order", range(1, 8))
-def test_velocity_jets_equal_coordinate_jet_derivative(order):
-    y_integral = IntegralCoordinate(0.5, [parse("sin(t)")], [parse("t^2")])
-    specs = [
-        families.random_legendre_curve(np.random.default_rng(order), 4)[0],
-        families.rational_turn(),
-        CurveSpec(1, ["sin(t)", y_integral, "cos(3*t)"]),
-    ]
-    for spec in specs:
-        ts = np.linspace(-2.0, 2.0, 97)
-        v, y = curves._velocity_jets(spec, ts, order)
-        cj = coordinate_jets(spec, ts, order)
-        for got, want in ((v.coeffs, cj.derivative().coeffs),
-                          (y.coeffs, cj.coeffs[:, spec.n:2 * spec.n])):
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+def test_positions_are_one_order_0_pass(example_curve, monkeypatch):
+    # positions read value slots only, so their pass carries no derivatives
+    orders = []
+    original = expressions.Expr.evaluate
+
+    def recorded(self, t, shared):
+        orders.append(t.order)
+        return original(self, t, shared)
+
+    monkeypatch.setattr(expressions.Expr, "evaluate", recorded)
+    example_curve.point(sample_grid(example_curve, 64))
+    assert orders == [0] * example_curve.dim
+
+
+@pytest.mark.parametrize("slot", [0, 1, 3])
+def test_integral_source_is_only_z(slot):
+    integral = IntegralCoordinate(0.5, [parse("sin(t)")], [parse("t^2")])
+    coords = ["sin(t)", "t^2", "cos(3*t)"]
+    if slot < 3:
+        coords[slot] = integral
+        with pytest.raises(CurveError, match=re.escape(
+                f"coordinate {slot + 1}: an integral source can only be z, "
+                "coordinate 3")):
+            CurveSpec(1, coords)
+    else:
+        coords[2] = integral
+        assert CurveSpec(1, coords).coords[2] is integral
 
 
 # ---------------------------------------------------------------------------
@@ -647,13 +644,9 @@ def _unshared_velocity_jets(spec, ts, order):
     tails, ys = [], []
     for i, c in enumerate(spec.coords):
         if isinstance(c, IntegralCoordinate):
-            if not n <= i < 2 * n:
-                tails.append(_unshared_tail(c, ts, order))
-                continue
-            j = jets.Jet(np.concatenate((c.values(ts)[np.newaxis],
-                                         _unshared_tail(c, ts, order))))
-        else:
-            j = _unshared_jet(c, t)
+            tails.append(_unshared_tail(c, ts, order))
+            continue
+        j = _unshared_jet(c, t)
         tails.append(j.coeffs[1:])
         if n <= i < 2 * n:
             ys.append(j)
@@ -681,9 +674,6 @@ SHARING_CASES = [
     pytest.param(lambda: make_legendre(["exp(t/3)-atan(t)^2"],
                                        ["log(2+t)/(1+t^2)"]),
                  id="elementary_legendre"),
-    pytest.param(lambda: CurveSpec(1, [
-        "sin(t)", IntegralCoordinate(0.5, [parse("sin(t)")], [parse("t^2")]),
-        "cos(3*t)"]), id="integral_in_y"),
 ]
 
 
@@ -696,9 +686,8 @@ def test_shared_jet_pass_equals_unshared_evaluation(make):
         want_v, want_y = _unshared_velocity_jets(spec, ts, order)
         _assert_bitwise(v.coeffs, want_v.coeffs)
         _assert_bitwise(y.coeffs, want_y.coeffs)
-        cj = coordinate_jets(spec, ts, order)
-        _assert_bitwise(cj.derivative().coeffs, want_v.coeffs)
-        _assert_bitwise(cj.coeffs[:, spec.n:2 * spec.n], want_y.coeffs)
+    # positions are the value slot of the same jets
+    _assert_bitwise(coordinate_jets(spec, ts).value[spec.n:2 * spec.n], want_y.value)
 
 
 def _trig_arguments(spec):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactcurves import analysis, curves, discrete, families
+from contactcurves import analysis, cli, curves, discrete, families
 
 
 def circle_curve(N=256):
@@ -53,6 +53,24 @@ def test_degenerate_segment_rejected():
     points[:, 7] = points[:, 8]
     with pytest.raises(discrete.DiscreteCurveError, match="degenerate segment"):
         moved(dc, points)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+@pytest.mark.parametrize("factor, degenerate", [(1.2, False), (0.8, True)])
+def test_degenerate_segment_bound_is_1e_13_of_the_scale(scale, factor, degenerate):
+    # segments shorter than 1e-13 max(1, max|p|) are degenerate; at h = 1
+    # the chord is the segment, and max|p| is 0.75 * scale
+    bound = 1e-13 * max(1.0, 0.75 * scale)
+    x = scale * np.array([0.0, 0.25, 0.5, 0.5, 0.75])
+    x[3] += factor * bound
+    points = np.zeros((3, 5))
+    points[0] = x
+    if degenerate:
+        with pytest.raises(discrete.DiscreteCurveError,
+                           match="degenerate segment at index 2"):
+            discrete.DiscreteCurve(points, 1, 1.0, closed=False)
+    else:
+        discrete.DiscreteCurve(points, 1, 1.0, closed=False)
 
 
 def test_curve_validation():
@@ -302,6 +320,20 @@ def test_variation_must_vanish_at_endpoints():
         discrete.first_variation_check(geo, (1.0, 1.0), V, N=64)
 
 
+@pytest.mark.parametrize("edge, rejected", [(1.2e-10, True), (0.8e-10, False)])
+def test_variation_edge_bound_is_1e_10(edge, rejected):
+    # a y row has no z share in the contact projection, so the boundary
+    # magnitude is exactly the value put there
+    geo = families.geodesic((1.0, 0.0, 0.0, 0.0))
+    V = np.zeros((5, 64))
+    V[2, 0] = edge
+    if rejected:
+        with pytest.raises(discrete.VariationError, match="1.200e-10"):
+            discrete.first_variation_check(geo, (1.0, 1.0), V, N=64)
+    else:
+        discrete.first_variation_check(geo, (1.0, 1.0), V, N=64)
+
+
 def test_descend_lowers_energy_and_residual():
     base = circle_curve(48)
     rng = np.random.default_rng(3)
@@ -343,6 +375,54 @@ def test_descend_underflow_diagnostic(monkeypatch):
     assert res.stopped
     assert "underflow" in res.diagnostic
     assert len(res.rows) == 1
+
+
+def test_line_search_underflow_bound_is_rate_times_1e_12(monkeypatch):
+    # the halving trials are rate 2^-k; 2^-39 is above the bound 1e-12 and
+    # 2^-40 below it, so a step that never passes Armijo costs 40 trials
+    # after the first energy
+    calls = [0]
+    original = discrete.discrete_energy
+
+    def counted(curve, delta):
+        calls[0] += 1
+        return original(curve, delta)
+
+    monkeypatch.setattr(discrete, "discrete_energy", counted)
+    dc = discrete.DiscreteCurve.from_spec(families.geodesic(), 64)
+    res = discrete.descend(dc, (0.0, 1.0), steps=3, rate=0.02)
+    assert res.diagnostic == "line search step underflow at step 1"
+    assert calls[0] == 41
+
+
+@pytest.mark.parametrize("target, accepted", [(1.25e-4, True), (0.75e-4, False)])
+def test_armijo_constant_is_1e_4(target, accepted):
+    # the first trial step is alpha = rate.  Pick the rate at which the
+    # energy falls by target * alpha * slope: above 1e-4 of the slope the
+    # step is taken as is, below it the line search halves it once
+    curve = discrete.DiscreteCurve.from_spec(cli.example_spec(), 64)
+    delta = (0.7, 1.0)
+    energy = discrete.discrete_energy(curve, delta).total
+    grad = discrete.energy_gradient(curve, delta)
+    direction = discrete._project_contact(curve, -grad)
+    slope = -float(np.sum(grad * direction))
+
+    def trial_energy(alpha):
+        return discrete.discrete_energy(moved(curve, curve.points + alpha * direction),
+                                        delta).total
+
+    def ratio(alpha):
+        return (energy - trial_energy(alpha)) / (alpha * slope)
+
+    lo, hi = 1.0, 4.0       # the ratio falls through 0.54 to below 0
+    assert ratio(lo) > target > ratio(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ratio(mid) > target else (lo, mid)
+    rate = lo if accepted else hi
+    assert ratio(rate) == pytest.approx(target, rel=1e-3)
+    res = discrete.descend(curve, delta, steps=1, rate=rate)
+    assert res.energies[1] == trial_energy(rate if accepted else 0.5 * rate)
 
 
 def test_descend_stops_on_an_uphill_projected_direction():

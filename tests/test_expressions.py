@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from contactcurves import families, jets
 from contactcurves.cli import load_curve_file
-from contactcurves.curves import (CurveSpec, coordinate_jets, make_legendre,
-                                  sample_grid)
+from contactcurves.curves import (CurveSpec, _velocity_jets, coordinate_jets,
+                                  make_legendre, sample_grid)
 from contactcurves.expressions import (MAX_DEPTH, EvaluationError, ExpressionError,
                                        parse)
 
@@ -154,10 +154,13 @@ def test_scope_keys_tell_negative_zero_from_zero(texts):
     # coordinate's jet to the second; each must equal its own evaluation
     spec = CurveSpec(1, texts)
     ts = np.linspace(0.25, 1.0, 4)
-    for order in (0, 3):
-        got = coordinate_jets(spec, ts, order)
-        for i, text in enumerate(texts):
-            _assert_bitwise(got.coeffs[:, i], parse(text)(jets.variable(ts, order)).coeffs)
+    got = coordinate_jets(spec, ts)
+    v, y = _velocity_jets(spec, ts, 3)
+    for i, text in enumerate(texts):
+        _assert_bitwise(got.coeffs[:, i], parse(text)(jets.variable(ts, 0)).coeffs)
+        own = parse(text)(jets.variable(ts, 3))
+        _assert_bitwise(v.coeffs[:, i], own.derivative().coeffs)
+    _assert_bitwise(y.coeffs[:, 0], parse(texts[1])(jets.variable(ts, 3)).coeffs)
     a, b = parse(texts[0]), parse(texts[1])
     t = jets.variable(ts, 2)
     shared = {}
@@ -319,12 +322,18 @@ def test_values_are_the_jet_value_slot(seed):
 def test_curve_positions_are_the_jet_value_slot(seed, r):
     spec, _ = families.random_legendre_curve(np.random.default_rng(seed), r)
     ts = sample_grid(spec, 32)
-    _assert_bitwise(spec.point(ts), coordinate_jets(spec, ts, 3).value)
+    _assert_positions_are_value_slots(spec, ts)
     # a single parameter: z integrates the one gap from 0, not the grid's gaps
-    _assert_bitwise(spec.point(ts[5]), coordinate_jets(spec, ts[5], 3).value[:, 0])
+    _assert_bitwise(spec.point(ts[5])[-1], spec.coords[-1].values(ts[5])[0])
+
+
+def _assert_positions_are_value_slots(spec, ts):
+    """x and y are their order-3 jets' value slots, z its quadrature values."""
+    t = jets.variable(ts, 3)
+    want = [c(t).value for c in spec.coords[:-1]] + [spec.coords[-1].values(ts)]
+    _assert_bitwise(spec.point(ts), np.stack(want))
 
 
 @pytest.mark.parametrize("spec", [families.rational_turn(), families.orthogonal_helix()])
 def test_stock_curve_positions_are_the_jet_value_slot(spec):
-    ts = np.linspace(-1.0, 2.0 * np.pi, 41)
-    _assert_bitwise(spec.point(ts), coordinate_jets(spec, ts, 3).value)
+    _assert_positions_are_value_slots(spec, np.linspace(-1.0, 2.0 * np.pi, 41))

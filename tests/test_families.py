@@ -5,7 +5,6 @@ from contactcurves.curves import (
     arclength_check,
     frame_scalars,
     frenet_apparatus,
-    legendre_defect,
     sample_grid,
 )
 from contactcurves.families import (
@@ -114,8 +113,8 @@ def test_geodesic_family():
 def test_four_exponential_nonconstant_curvature():
     spec = four_exponential(np.pi / 4, 2.0, 3.0)
     ts = np.linspace(0.25, 1.0, 128)
-    assert np.max(np.abs(legendre_defect(spec, ts))) < 1e-12
     rep = arclength_check(spec, ts)
+    assert rep.max_defect < 1e-12
     assert rep.max_deviation < 1e-12
     fr = frenet_apparatus(spec, ts)
     assert fr.r == 5
@@ -147,7 +146,7 @@ def test_orthogonal_helix_invariants():
     spec = orthogonal_helix(1.2, 1.6)
     assert spec.n == 3
     ts = _grid(spec, 128)
-    assert np.max(np.abs(legendre_defect(spec, ts))) < 1e-12
+    assert arclength_check(spec, ts).max_defect < 1e-12
     fr = frenet_apparatus(spec, ts)
     assert fr.r == 3
     assert np.abs(fr.curvatures[0] - 1.2).max() < 1e-9
@@ -184,7 +183,7 @@ def test_rational_turn_profile():
     ts = np.linspace(-2.0, 2.0, 129)
     rep = arclength_check(spec, ts)
     assert rep.max_deviation < 1e-12
-    assert np.max(np.abs(legendre_defect(spec, ts))) < 1e-12
+    assert rep.max_defect < 1e-12
     fr = frenet_apparatus(spec, ts)
     assert fr.r == 3
     assert np.abs(fr.curvatures[0] - 2.0 / (1 + ts**2)).max() < 1e-10

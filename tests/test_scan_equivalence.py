@@ -21,7 +21,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from contactcurves import cli
+from contactcurves import analysis, cli
 
 HEADER = ["case", "c", "k1", "k2", "alpha0", "rho",
           "constraint", "feasible", "verdict"]
@@ -51,14 +51,14 @@ def _old_case_formula(case, c, k1, k2, alpha0=0.0):
 
 def _old_scan_cell(case, c, k1, k2, alpha0):
     if k1 == 0.0:
-        return (case, c, k1, k2, None, None, None, True, cli.GEODESIC_VERDICT)
+        return (case, c, k1, k2, None, None, None, True, analysis.GEODESIC_VERDICT)
     rho, constraint, threshold = _old_case_formula(case, c, k1, k2, alpha0)
-    verdict = cli.THRESHOLD_VERDICT if threshold else ""
+    verdict = analysis.THRESHOLD_VERDICT if threshold else ""
     feasible = True
     if case == "I":
         feasible = abs(rho) > 1e-12
         if not feasible:
-            verdict = cli.EXCLUDED_VERDICT
+            verdict = analysis.EXCLUDED_VERDICT
     elif case == "III":
         k2 = 1.0
     elif case == "IV":
@@ -201,13 +201,13 @@ def test_scan_matches_the_per_cell_loop(case, c_range, k1_range, k2_range,
 
 def test_oracle_reaches_every_branch():
     rc, out, _ = oracle_scan("I", "-3:-3:1", "0:1:6", "0:0.8:5", "0:0:1")
-    assert rc == 0 and cli.EXCLUDED_VERDICT in out
-    assert cli.GEODESIC_VERDICT in out
+    assert rc == 0 and analysis.EXCLUDED_VERDICT in out
+    assert analysis.GEODESIC_VERDICT in out
     rc, out, _ = oracle_scan("IV", "-5:1:4", "0:2:3", "0:1:2", "-1:1:3")
-    assert rc == 0 and cli.THRESHOLD_VERDICT in out and ",-0," in out
+    assert rc == 0 and analysis.THRESHOLD_VERDICT in out and ",-0," in out
     rc, _, err = oracle_scan("I", "1:1:1", "1e154:1e154:1", "0:1e154:2",
                              "0:0:1")
     assert rc == 2 and err == "error: non-finite value -inf in report payload\n"
     rc, out, _ = oracle_scan("IV", "1e308:1e308:1", "0:0:1", "0:1e154:2",
                              "0:0:1")
-    assert rc == 0 and out.count(cli.GEODESIC_VERDICT) == 2
+    assert rc == 0 and out.count(analysis.GEODESIC_VERDICT) == 2
