@@ -242,7 +242,7 @@ class CurveSpec:
     def point(self, t):
         """Coordinates at t, shape (2n+1,) or (2n+1, N): an order-0 jet pass."""
         t = np.asarray(t, dtype=float)
-        pts = coordinate_jets(self, t).value
+        pts = coordinate_jets(self, t)
         return pts[:, 0] if t.ndim == 0 else pts
 
     def __repr__(self):
@@ -287,7 +287,7 @@ def _reject_non_finite(spec, ts, *blocks):
 
 
 def coordinate_jets(spec, ts):
-    """Order-0 jet of all coordinates along the curve; value shape (2n+1, N).
+    """Values of all coordinates along the curve, shape (2n+1, N).
 
     An expression gives its value slot and an integral z its quadrature
     values.  A value that overflows, or turns into nan, raises
@@ -300,7 +300,7 @@ def coordinate_jets(spec, ts):
         values = np.stack([c.values(ts) if isinstance(c, IntegralCoordinate)
                            else c.evaluate(t, shared).value for c in spec.coords])
     _reject_non_finite(spec, ts, (0, values[np.newaxis]))
-    return jets.Jet(values[np.newaxis])
+    return values
 
 
 def _velocity_jets(spec, ts, order):

@@ -687,7 +687,7 @@ def test_shared_jet_pass_equals_unshared_evaluation(make):
         _assert_bitwise(v.coeffs, want_v.coeffs)
         _assert_bitwise(y.coeffs, want_y.coeffs)
     # positions are the value slot of the same jets
-    _assert_bitwise(coordinate_jets(spec, ts).value[spec.n:2 * spec.n], want_y.value)
+    _assert_bitwise(coordinate_jets(spec, ts)[spec.n:2 * spec.n], want_y.value)
 
 
 def _trig_arguments(spec):

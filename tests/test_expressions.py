@@ -157,7 +157,7 @@ def test_scope_keys_tell_negative_zero_from_zero(texts):
     got = coordinate_jets(spec, ts)
     v, y = _velocity_jets(spec, ts, 3)
     for i, text in enumerate(texts):
-        _assert_bitwise(got.coeffs[:, i], parse(text)(jets.variable(ts, 0)).coeffs)
+        _assert_bitwise(got[i], parse(text)(jets.variable(ts, 0)).value)
         own = parse(text)(jets.variable(ts, 3))
         _assert_bitwise(v.coeffs[:, i], own.derivative().coeffs)
     _assert_bitwise(y.coeffs[:, 0], parse(texts[1])(jets.variable(ts, 3)).coeffs)
@@ -324,13 +324,17 @@ def test_curve_positions_are_the_jet_value_slot(seed, r):
     ts = sample_grid(spec, 32)
     _assert_positions_are_value_slots(spec, ts)
     # a single parameter: z integrates the one gap from 0, not the grid's gaps
-    _assert_bitwise(spec.point(ts[5])[-1], spec.coords[-1].values(ts[5])[0])
+    _assert_positions_are_value_slots(spec, ts[5])
 
 
 def _assert_positions_are_value_slots(spec, ts):
-    """x and y are their order-3 jets' value slots, z its quadrature values."""
+    """x and y are their order-3 jets' value slots, z its quadrature values.
+
+    A scalar ts gives scalar positions, shape (2n+1,).
+    """
     t = jets.variable(ts, 3)
-    want = [c(t).value for c in spec.coords[:-1]] + [spec.coords[-1].values(ts)]
+    z = spec.coords[-1].values(ts)
+    want = [c(t).value for c in spec.coords[:-1]] + [z if np.ndim(ts) else z[0]]
     _assert_bitwise(spec.point(ts), np.stack(want))
 
 

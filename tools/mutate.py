@@ -1,7 +1,7 @@
 """Mutation testing for one module of contactcurves.
 
     python tools/mutate.py --file src/contactcurves/curves.py \
-        --tests tests/test_curves.py tests/test_families.py [--seed 0]
+        --tests tests/test_curves.py tests/test_families.py
 
 Each mutant changes one source span of --file with one operator of a fixed
 set:
@@ -15,9 +15,9 @@ and layout survive.  Literals inside f-strings are left alone, and so is a
 mutant whose literal keeps its value (0.0 scaled).  Mutants run one at a
 time against a temporary copy of the ``src`` tree that holds --file; no
 source in the checkout is written.  A mutant is killed when ``pytest -x`` over
---tests fails (or times out), and survives when it passes.  --seed shuffles
-the run order, so a run stopped with Ctrl-C or SIGTERM reports a seeded
-random sample.
+--tests fails (or times out), and survives when it passes.  The run order
+is a fixed shuffle, so a run stopped with Ctrl-C or SIGTERM reports a
+random sample, the same one on every run.
 
 The table lists the survivors by line and column, with the enclosing
 function.  The ``<``/``<=`` and ``>``/``>=`` flips whose operands show no
@@ -169,7 +169,6 @@ def main(argv=None):
                         help="module to mutate, inside a src/<package>/ tree")
     parser.add_argument("--tests", required=True, nargs="+",
                         help="pytest paths that should kill the mutants")
-    parser.add_argument("--seed", type=int, default=0, help="shuffles the run order")
     args = parser.parse_args(argv)
     signal.signal(signal.SIGTERM, signal.default_int_handler)   # clean up as on Ctrl-C
 
@@ -180,7 +179,7 @@ def main(argv=None):
     data = target.read_bytes()
     mutants = find_mutants(data.decode())
     order = list(range(len(mutants)))
-    random.Random(args.seed).shuffle(order)
+    random.Random(0).shuffle(order)
 
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         src_copy = Path(tmp) / "src"
@@ -188,7 +187,7 @@ def main(argv=None):
         copy = src_copy / target.relative_to(src)
         if run_tests(tree_root, src_copy, tests) != "survived":
             sys.exit("the tests fail on the unmutated copy")
-        print(f"{target.name}: {len(mutants)} mutants, seed {args.seed}", flush=True)
+        print(f"{target.name}: {len(mutants)} mutants", flush=True)
         status = {}
         began = time.perf_counter()
         try:
